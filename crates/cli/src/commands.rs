@@ -824,8 +824,12 @@ mod tests {
         assert!(out.contains("no overdrawn"), "{out}");
     }
 
+    /// Each call writes its own file: tests run in parallel, and a
+    /// shared path lets one test read another's half-written scenario.
     fn write_scenario() -> std::path::PathBuf {
-        let path = tmp("scenario.json");
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = tmp(&format!("scenario-{}-{k}.json", std::process::id()));
         std::fs::write(
             &path,
             r#"{"n": 3, "shares": [

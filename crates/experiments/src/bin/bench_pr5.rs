@@ -6,14 +6,17 @@
 //! sharing inside regional groups of 8, 25% mutual backup between ring
 //! neighbours. The request mix cycles every principal as requester with
 //! amounts that mostly stay inside the home group but periodically
-//! overflow into the coarse + parallel-fine path, so both multigrid
-//! tiers are exercised.
+//! overflow into the coarse + fine path, so both multigrid tiers are
+//! exercised.
 //!
 //! Writes `BENCH_PR5.json` (or the path given as the first argument).
-//! `--check` runs reduced volumes, asserts the correctness invariants
+//! `--check` runs reduced volumes, asserts the correctness invariant
 //! (hierarchical admit/deny verdicts match the flat level-1 LP oracle on
-//! a uniform-block economy; parallel fine solves bit-identical to
-//! sequential), and writes nothing — CI's bench-smoke job runs that mode.
+//! a uniform-block economy), and writes nothing — CI's bench-smoke job
+//! runs that mode.
+//!
+//! The committed `BENCH_PR5.json` also carries `hier_parallel` rows,
+//! measured with the parallel fine-solve mode this binary no longer has.
 //!
 //! `--telemetry-out PATH` runs one extra *untimed* instrumented pass at
 //! n = 512 and writes its snapshot (hier.* counters + LP solve-span
@@ -40,7 +43,7 @@ const SIZES: [usize; 3] = [128, 512, 1000];
 
 /// Request amounts cycled across solves. Per-principal pools are 6 and
 /// groups hold 8 members (pool 48), so 2–6 stay in the home group while
-/// 80 overflows it and forces the coarse + parallel-fine path (reach is
+/// 80 overflows it and forces the coarse + fine path (reach is
 /// 48 + 4 neighbour groups × 25% × 48 = 96).
 const AMOUNTS: [f64; 4] = [2.0, 4.0, 6.0, 80.0];
 
@@ -108,11 +111,8 @@ fn bench_size(n: usize, check: bool) -> Vec<AllocRow> {
     let s = cfg.agreements().expect("economy");
     let avail = vec![cfg.base_availability; n];
 
-    let mut seq = HierarchicalScheduler::auto(&s, &PartitionOptions::default(), 1).expect("auto");
+    let seq = HierarchicalScheduler::auto(&s, &PartitionOptions::default(), 1).expect("auto");
     assert_eq!(seq.num_groups(), cfg.num_groups(), "auto partition must recover the regions");
-    let mut par = HierarchicalScheduler::auto(&s, &PartitionOptions::default(), 1).expect("auto");
-    par.set_parallel_fine(true);
-    seq.set_parallel_fine(false);
 
     // The flat oracle pays for the full n-principal LP per request; keep
     // its solve count small at large n (a single n = 1000 solve is ~10⁵×
@@ -128,31 +128,14 @@ fn bench_size(n: usize, check: bool) -> Vec<AllocRow> {
     };
 
     let seq_secs = time_hier(&seq, &avail, hier_solves);
-    let par_secs = time_hier(&par, &avail, hier_solves);
 
     let flow = Arc::new(TransitiveFlow::compute(&s, 1));
     let state = SystemState::new(flow, None, avail.clone()).expect("state");
     let mut flat = AllocationSolver::reduced();
     let flat_secs = time_flat(&mut flat, &state, flat_solves);
 
-    if check {
-        // Invariant: parallel fine solves are bit-identical to sequential,
-        // including on the coarse overflow path.
-        for k in 0..16 {
-            let (r, x) = request_at(k, n);
-            let a = seq.allocate(&avail, r, x).expect("seq");
-            let b = par.allocate(&avail, r, x).expect("par");
-            assert_eq!(a.theta.to_bits(), b.theta.to_bits(), "theta diverged at k={k}");
-            for (da, db) in a.draws.iter().zip(&b.draws) {
-                assert_eq!(da.to_bits(), db.to_bits(), "draw diverged at k={k}");
-            }
-        }
-        eprintln!("check: n={n} parallel fine solves bit-identical to sequential");
-    }
-
     vec![
         row(n, "hier_sequential", hier_solves, seq_secs),
-        row(n, "hier_parallel", hier_solves, par_secs),
         row(n, "flat_lp", flat_solves, flat_secs),
     ]
 }
@@ -190,7 +173,6 @@ fn instrumented_pass() -> agreements_telemetry::Snapshot {
     let cfg = ScaleConfig::isp(n, 0, 20_000);
     let s = cfg.agreements().expect("economy");
     let mut sched = HierarchicalScheduler::auto(&s, &PartitionOptions::default(), 1).expect("auto");
-    sched.set_parallel_fine(true);
     sched.set_telemetry(telemetry);
     let avail = vec![cfg.base_availability; n];
     for k in 0..512 {
@@ -215,8 +197,8 @@ fn main() {
     let mut rows: Vec<AllocRow> = Vec::new();
     for n in SIZES {
         rows.extend(bench_size(n, check));
-        let base = rows.len() - 3;
-        let speedup = rows[base].allocations_per_sec / rows[base + 2].allocations_per_sec;
+        let base = rows.len() - 2;
+        let speedup = rows[base].allocations_per_sec / rows[base + 1].allocations_per_sec;
         for r in &rows[base..] {
             eprintln!(
                 "allocate {:<16} n={:<5} {:>6} solves: {:>10.0}/s ({:>9.1} µs/alloc)",

@@ -1,28 +1,24 @@
 //! Performance evidence for the pipelined, group-committed federation:
 //! does dropping call-by-call lockstep actually buy the promised
-//! throughput, and what does the warm-started admission path add?
+//! throughput?
 //!
-//! Two sections:
+//! Spawns the sibling `federation` binary (orchestrator + daemon +
+//! workers over UDS) for every cell of mode ∈ {sequenced, pipelined,
+//! nonseq} × fsync ∈ {everyop, batched:32} × n ∈ {64, 256, 1000} and
+//! records events/s from its `--json-out`. The headline ratio is
+//! non-sequenced + group commit at n = 1000 against the sequenced +
+//! everyop cell — the configuration the first networked federation
+//! shipped as its baseline (~190 events/s on this class of host).
 //!
-//! 1. **Federation throughput** — spawns the sibling `federation`
-//!    binary (orchestrator + daemon + workers over UDS) for every cell
-//!    of mode ∈ {sequenced, pipelined, nonseq} × fsync ∈ {everyop,
-//!    batched:32} × n ∈ {64, 256, 1000} and records events/s from its
-//!    `--json-out`. The headline ratio is non-sequenced + group commit
-//!    at n = 1000 against the sequenced + everyop cell — the exact
-//!    configuration PR 7 shipped as its baseline (~190 events/s on
-//!    this class of host).
-//! 2. **Warm admission** — in-process `BatchedAdmission` on a
-//!    force-parallel shard executor, warm-started bases off vs on,
-//!    at n ∈ {256, 1000}. Warm runs are opt-in (default off preserves
-//!    PR 7's bit-identity), so the gain is recorded, not assumed.
+//! The committed `BENCH_PR8.json` also carries `warm_admission` rows,
+//! measured with the batched warm-start admission path this binary no
+//! longer has.
 //!
 //! Writes `BENCH_PR8.json` (or the path given as the first argument).
 //! `--check` runs a reduced matrix with the federation harness's own
 //! `--check` verifiers enabled (bit-for-bit replay for sequenced and
-//! pipelined, the order-insensitive battery for nonseq), asserts the
-//! warm/cold admission agreement, asserts pipelined ≥ sequenced
-//! events/s on multi-core hosts (skipped with a notice on one core),
+//! pipelined, the order-insensitive battery for nonseq), asserts
+//! pipelined ≥ sequenced events/s on multi-core hosts (skipped with a notice on one core),
 //! and writes nothing — CI's bench-smoke job runs that mode.
 //!
 //! Run from the repository root:
@@ -31,25 +27,11 @@
 //! cargo run --release -p agreements-experiments --bin bench_pr8
 //! ```
 
-use agreements_flow::PartitionOptions;
-use agreements_sched::hierarchy::HierarchicalScheduler;
-use agreements_sched::{AdmissionRequest, BatchedAdmission};
-use agreements_trace::ScaleConfig;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::time::Instant;
 
 /// Principal counts swept through the federation matrix.
 const FED_SIZES: [usize; 3] = [64, 256, 1000];
-
-/// Request amounts cycled across a warm-admission batch (all inside a
-/// home group's pool — same stream as `bench_pr6`).
-const AMOUNTS: [f64; 5] = [2.0, 4.0, 6.0, 3.0, 5.0];
-const BATCH: usize = 64;
-
-fn request_at(k: usize, n: usize) -> (usize, f64) {
-    ((k * 13) % n, AMOUNTS[k % AMOUNTS.len()])
-}
 
 #[derive(Debug, Clone)]
 struct Cell {
@@ -138,77 +120,6 @@ fn find<'a>(cells: &'a [Cell], mode: &str, fsync: &str, n: usize) -> &'a Cell {
         .unwrap_or_else(|| panic!("missing cell {mode}/{fsync}/n={n}"))
 }
 
-/// Force-parallel admission front door over the grown ISP economy,
-/// optionally with batch-scoped warm-started bases. Forcing (rather
-/// than auto-gating) matters here: warm start lives in the shard
-/// executor's run fan, so it must exist even on a one-core host.
-fn build_front(n: usize, warm: bool) -> (BatchedAdmission, Vec<f64>) {
-    let cfg = ScaleConfig::isp(n, 0, 20_000);
-    let s = cfg.agreements().expect("economy");
-    let mut sched = HierarchicalScheduler::auto(&s, &PartitionOptions::default(), 1).expect("auto");
-    sched.set_parallel_fine(true);
-    sched.set_warm_runs(warm);
-    (BatchedAdmission::new(sched), vec![cfg.base_availability; n])
-}
-
-fn time_batched(front: &BatchedAdmission, pristine: &[f64], solves: usize) -> f64 {
-    let n = pristine.len();
-    let mut avail = pristine.to_vec();
-    let reqs: Vec<AdmissionRequest> = (0..BATCH)
-        .map(|k| {
-            let (requester, amount) = request_at(k, n);
-            AdmissionRequest { requester, amount }
-        })
-        .collect();
-    for d in front.admit_batch(&mut avail, &reqs) {
-        d.expect("in capacity");
-    }
-    let start = Instant::now();
-    let mut done = 0;
-    while done < solves {
-        avail.copy_from_slice(pristine);
-        for d in front.admit_batch(&mut avail, &reqs) {
-            std::hint::black_box(d.expect("in capacity"));
-        }
-        done += BATCH;
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// Warm/cold must agree to solver tolerance (the warm basis may walk a
-/// different pivot path to the same optimum); warm-off must stay
-/// bit-identical to a freshly built front (the default preserves PR 7's
-/// replay contract). `proptest_batch` owns the exhaustive version; this
-/// is the bench's own smoke so a committed baseline can't be produced
-/// from a divergent engine.
-fn check_warm_agreement(n: usize) {
-    const TOL: f64 = 1e-6;
-    let close = |x: f64, y: f64| (x - y).abs() <= TOL * x.abs().max(y.abs()).max(1.0);
-    let (cold, pristine) = build_front(n, false);
-    let (warm, _) = build_front(n, true);
-    let reqs: Vec<AdmissionRequest> = (0..BATCH)
-        .map(|k| {
-            let (requester, amount) = request_at(k, n);
-            AdmissionRequest { requester, amount }
-        })
-        .collect();
-    let mut avail_c = pristine.clone();
-    let c = cold.admit_batch(&mut avail_c, &reqs);
-    let mut avail_w = pristine.clone();
-    let w = warm.admit_batch(&mut avail_w, &reqs);
-    for (k, (a, b)) in c.iter().zip(&w).enumerate() {
-        let (a, b) = (a.as_ref().expect("cold"), b.as_ref().expect("warm"));
-        assert!(close(a.amount, b.amount), "warm amount diverged at k={k}");
-        for (da, db) in a.draws.iter().zip(&b.draws) {
-            assert!(close(*da, *db), "warm draw diverged at k={k}");
-        }
-    }
-    for (va, vb) in avail_c.iter().zip(&avail_w) {
-        assert!(close(*va, *vb), "warm availability diverged at n={n}");
-    }
-    eprintln!("check: n={n} warm admission agrees with cold within solver tolerance");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
@@ -256,7 +167,6 @@ fn main() {
                  workers; pipelined >= sequenced gate skipped"
             );
         }
-        check_warm_agreement(256);
         let _ = std::fs::remove_dir_all(&scratch);
         eprintln!("check mode: all invariants hold; no baseline written");
         return;
@@ -285,29 +195,6 @@ fn main() {
         eprintln!(
             "federation n={:>4} {:>9}/{:<10} {:>6} events in {:>7.2}s = {:>8.0} events/s",
             c.n, c.mode, c.fsync, c.events, c.seconds, c.per_sec
-        );
-    }
-
-    // Warm-started admission bases, off vs on.
-    check_warm_agreement(256);
-    let mut warm_rows: Vec<(usize, &'static str, usize, f64)> = Vec::new();
-    for n in [256usize, 1000] {
-        let solves = 6_400;
-        let (cold, pristine) = build_front(n, false);
-        let (warm, _) = build_front(n, true);
-        // Interleaved best-of-3 so host drift lands on both modes.
-        let (mut best_c, mut best_w) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..3 {
-            best_c = best_c.min(time_batched(&cold, &pristine, solves));
-            best_w = best_w.min(time_batched(&warm, &pristine, solves));
-        }
-        warm_rows.push((n, "cold_bases", solves, best_c));
-        warm_rows.push((n, "warm_bases", solves, best_w));
-        eprintln!(
-            "warm admission n={n}: cold {:>9.0}/s, warm {:>9.0}/s ({:.2}x)",
-            solves as f64 / best_c,
-            solves as f64 / best_w,
-            best_c / best_w
         );
     }
 
@@ -352,26 +239,6 @@ fn main() {
             )
         })
         .collect();
-    let warm_json: Vec<String> = warm_rows
-        .iter()
-        .map(|&(n, mode, solves, secs)| {
-            format!(
-                "    {{ \"n\": {n}, \"mode\": \"{mode}\", \"solves\": {solves}, \
-                 \"seconds\": {:.4}, \"allocations_per_sec\": {:.1} }}",
-                secs,
-                solves as f64 / secs
-            )
-        })
-        .collect();
-    let warm_ratio_json: Vec<String> = [256usize, 1000]
-        .iter()
-        .map(|&n| {
-            let cold = warm_rows.iter().find(|r| r.0 == n && r.1 == "cold_bases").expect("cold");
-            let warm = warm_rows.iter().find(|r| r.0 == n && r.1 == "warm_bases").expect("warm");
-            format!("    {{ \"n\": {n}, \"warm_vs_cold\": {:.3} }}", cold.3 / warm.3)
-        })
-        .collect();
-
     let json = format!(
         "{{\n  \"bench\": \"pr8_pipelined_federation\",\n  \
          \"economy\": \"isp_blocks_of_8_ring_span_2\",\n  \
@@ -379,16 +246,12 @@ fn main() {
          \"federation_throughput\": [\n{}\n  ],\n  \
          \"mode_ratios_batched32\": [\n{}\n  ],\n  \
          \"headline_n1000\": {{ \"sequenced_everyop_events_per_sec\": {:.1}, \
-         \"nonseq_batched32_events_per_sec\": {:.1}, \"speedup\": {:.1} }},\n  \
-         \"warm_admission\": [\n{}\n  ],\n  \
-         \"warm_admission_gain\": [\n{}\n  ]\n}}\n",
+         \"nonseq_batched32_events_per_sec\": {:.1}, \"speedup\": {:.1} }}\n}}\n",
         fed_json.join(",\n"),
         ratio_json.join(",\n"),
         baseline.per_sec,
         headline.per_sec,
         speedup,
-        warm_json.join(",\n"),
-        warm_ratio_json.join(",\n"),
     );
     std::fs::write(&out_path, json)
         .unwrap_or_else(|e| panic!("writing baseline to {out_path}: {e}"));

@@ -82,12 +82,7 @@ pub fn build_admission(cfg: &MultiScaleConfig) -> MultiAdmission {
     let s = cfg.base.agreements().expect("economy");
     let lanes: Vec<HierarchicalScheduler> = RESOURCE_NAMES
         .iter()
-        .map(|_| {
-            let mut lane =
-                HierarchicalScheduler::auto(&s, &PartitionOptions::default(), 1).expect("auto");
-            lane.set_parallel_fine(true);
-            lane
-        })
+        .map(|_| HierarchicalScheduler::auto(&s, &PartitionOptions::default(), 1).expect("auto"))
         .collect();
     MultiAdmission::new(RESOURCE_NAMES.to_vec(), lanes).expect("lanes agree")
 }

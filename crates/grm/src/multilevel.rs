@@ -38,11 +38,7 @@ impl TwoLevelGrm {
 
     /// Build directly from a flat agreement economy: the partition, the
     /// per-group intra matrices, and the aggregate inter matrix are all
-    /// derived by [`agreements_flow::auto_partition`]. Parallel fine
-    /// solves are enabled in *auto* mode: only on hosts where
-    /// `available_parallelism()` reports ≥ 2 cores, and each fan-out is
-    /// further gated on the break-even measured at construction — group
-    /// count alone says nothing about whether the fan-out pays.
+    /// derived by [`agreements_flow::auto_partition`].
     pub fn new_auto(
         s: &AgreementMatrix,
         opts: &PartitionOptions,
@@ -50,8 +46,7 @@ impl TwoLevelGrm {
     ) -> Result<Self, SchedError> {
         let p = auto_partition(s, opts).map_err(SchedError::Flow)?;
         let intra = p.intra_matrices(s).map_err(SchedError::Flow)?;
-        let mut grm = Self::new(p.groups, intra, &p.inter, level)?;
-        grm.sched.set_parallel_auto();
+        let grm = Self::new(p.groups, intra, &p.inter, level)?;
         Ok(grm)
     }
 
@@ -65,8 +60,7 @@ impl TwoLevelGrm {
     ) -> Result<Self, SchedError> {
         let p = auto_partition(s, opts).map_err(SchedError::Flow)?;
         let intra = p.intra_matrices(s).map_err(SchedError::Flow)?;
-        let mut grm = Self::new_chaotic(p.groups, intra, &p.inter, level, plane)?;
-        grm.sched.set_parallel_auto();
+        let grm = Self::new_chaotic(p.groups, intra, &p.inter, level, plane)?;
         Ok(grm)
     }
 

@@ -153,6 +153,7 @@ impl AgreementJournal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use agreements_sched::HierarchicalScheduler;
 
     fn complete(n: usize, share: f64) -> AgreementMatrix {
         let mut s = AgreementMatrix::zeros(n);
@@ -195,6 +196,21 @@ mod tests {
         assert!(journal.set_agreement(&h, 0, 7, 0.5).is_err());
         assert!(journal.leave(&h, 9).is_err());
         assert!(journal.is_empty());
+        grm.shutdown();
+    }
+
+    #[test]
+    fn join_on_a_hierarchical_grm_is_not_journalled() {
+        // A hierarchical GRM has a fixed partition: its `join` must be an
+        // error, or the journal would record a principal that never
+        // joined and `matrix()` would rebuild one principal too many.
+        let inter = AgreementMatrix::zeros(2);
+        let sched = HierarchicalScheduler::new(vec![vec![0], vec![1]], &inter, 1).unwrap();
+        let grm = GrmServer::spawn_hierarchical(sched);
+        let mut journal = AgreementJournal::new(AgreementMatrix::zeros(2), 1);
+        assert!(matches!(journal.join(&grm.handle()), Err(GrmError::Unsupported(_))));
+        assert!(journal.ops().is_empty());
+        assert_eq!(journal.matrix().unwrap().n(), 2);
         grm.shutdown();
     }
 

@@ -10,9 +10,8 @@
 
 use agreements_flow::{AgreementMatrix, FlowError, IncrementalFlow};
 use agreements_sched::{
-    admission_bound, exceeds_bound, first_binding_resource, AdmissionRequest, Allocation,
-    AllocationSolver, BatchedAdmission, HierarchicalScheduler, MultiAdmission, MultiAllocation,
-    MultiSolver, SchedError, SystemState,
+    admission_bound, exceeds_bound, first_binding_resource, Allocation, AllocationSolver,
+    HierarchicalScheduler, MultiAdmission, MultiAllocation, MultiSolver, SchedError, SystemState,
 };
 use agreements_telemetry::{HistKind, Telemetry, TelemetryEvent};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -169,7 +168,7 @@ enum Msg {
         lease: u64,
     },
     Join {
-        reply: Sender<usize>,
+        reply: Sender<Result<usize, GrmError>>,
     },
     Leave {
         lrm: usize,
@@ -282,14 +281,12 @@ pub struct GrmStats {
     /// Flow-table rows recomputed by the incremental maintainer across
     /// all agreement/membership mutations since the server started.
     pub flow_rows_recomputed: u64,
-    /// Allocation requests decided through the batched admission front
-    /// door (hierarchical engines only). Counts every request routed
-    /// through a drained run, including runs of one; the `BatchSize`
-    /// telemetry histogram carries the distribution.
+    /// Always 0: every request is decided on its own. The field keeps
+    /// the Stats wire layout stable until the wire format carries a
+    /// version.
     pub batched_allocations: u64,
-    /// Times the shard executor (hierarchical engines only) declined a
-    /// parallel fan-out in favour of the bit-identical sequential path
-    /// — the break-even gate said the dispatch overhead would not pay.
+    /// Always 0: fine solves always run sequentially. Kept for the same
+    /// wire-layout reason as `batched_allocations`.
     pub executor_fallbacks_sequential: u64,
 }
 
@@ -348,11 +345,12 @@ impl GrmHandle {
     /// no agreements and zero reported availability — wire it in with
     /// [`GrmHandle::set_agreement`] and [`GrmHandle::report`]. Its
     /// liveness lease starts *now*: joining late does not make it
-    /// instantly lease-expired.
+    /// instantly lease-expired. Hierarchical and multi-resource GRMs
+    /// have fixed membership and answer [`GrmError::Unsupported`].
     pub fn join(&self) -> Result<usize, GrmError> {
         let (reply, rx) = unbounded();
         self.tx.send(Msg::Join { reply }).map_err(|_| GrmError::Disconnected)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)
+        rx.recv().map_err(|_| GrmError::Disconnected)?
     }
 
     /// An LRM leaves: all its agreements are dropped (both directions)
@@ -461,9 +459,8 @@ impl GrmHandle {
     }
 
     /// Send a request without blocking for the decision; returns the
-    /// reply channel. Pipelining many in-flight requests this way is
-    /// what lets the server's drain loop see them as one batch — a
-    /// blocking client hands it runs of one by construction.
+    /// reply channel, so a caller can keep many requests in flight. The
+    /// server still decides them one at a time, in arrival order.
     pub fn request_async(
         &self,
         lrm: usize,
@@ -723,11 +720,9 @@ impl GrmServer {
         Self::spawn_inner(agreements, level, Some((plane, link)), telemetry)
     }
 
-    /// Spawn a GRM whose decisions run through a [`HierarchicalScheduler`]
-    /// wrapped in the batched admission front door: requests drained in
-    /// one wakeup are admitted as a batch (bit-identical to one-by-one),
-    /// and the scheduler's shard executor fans the fine solves out when
-    /// the measured break-even says the dispatch will pay.
+    /// Spawn a GRM whose decisions run through a [`HierarchicalScheduler`]:
+    /// each request is decided on its own, in arrival order, on the GRM
+    /// thread.
     ///
     /// The engine swap changes the management surface, not the RPC one:
     /// `report`/`tick`/`request`/`release`/`replay_grant` behave as on a
@@ -739,9 +734,9 @@ impl GrmServer {
         Self::spawn_hierarchical_with_telemetry(sched, Telemetry::default())
     }
 
-    /// [`GrmServer::spawn_hierarchical`] with a telemetry plane: batch
-    /// sizes, queue waits, fine-solve spans, and executor fallbacks all
-    /// record through `telemetry`.
+    /// [`GrmServer::spawn_hierarchical`] with a telemetry plane: queue
+    /// waits, request latencies, and coarse/fine solve spans record
+    /// through `telemetry`.
     pub fn spawn_hierarchical_with_telemetry(
         sched: HierarchicalScheduler,
         telemetry: Telemetry,
@@ -878,31 +873,6 @@ impl Drop for GrmServer {
     }
 }
 
-/// One allocation request lifted out of a drained message run, waiting
-/// on the batched admission front door.
-struct QueuedRequest {
-    lrm: usize,
-    amount: f64,
-    req_id: Option<RequestId>,
-    enqueued: Option<Instant>,
-    reply: Sender<Result<Allocation, GrmError>>,
-}
-
-/// Where a run entry's answer comes from (see `handle_request_run`).
-enum RunSlot {
-    /// Answered from the dedup window during pre-screen.
-    Answered,
-    /// In-run duplicate: replays the decision of the entry at this run
-    /// index once it exists.
-    DupOf(usize),
-    /// Decided inline without touching availability (unknown LRM).
-    Decided(Result<Allocation, GrmError>),
-    /// Waiting on the admission batch (no payload: batched entries are
-    /// matched up positionally — they appear in run order, as do the
-    /// batch's decisions).
-    Batched,
-}
-
 /// What the server remembers about an already-decided idempotent call.
 enum CachedReply {
     Grant(Result<Allocation, GrmError>),
@@ -923,7 +893,7 @@ impl From<RecordedDecision> for CachedReply {
 }
 
 /// The multi-resource decision engine, mirroring the single-resource
-/// engine split (flat LP vs hierarchical front door) one level up.
+/// engine split (flat LP vs hierarchical scheduler) one level up.
 /// Exactly one engine family is live per server: a multi core's flat
 /// `state`/`policy` machinery is retained only for the shared
 /// lease/clock plumbing and is never consulted for a decision.
@@ -1078,16 +1048,11 @@ struct ServerCore {
     /// Telemetry handle; `Telemetry::default()` (disabled) costs one
     /// branch per call site and keeps the server bit-identical.
     telemetry: Telemetry,
-    /// The batched admission front door over a hierarchical scheduler.
-    /// `Some` switches the decision engine: requests route through
-    /// [`BatchedAdmission`] (batch or one-by-one, bit-identical either
-    /// way) instead of the flat LP policy, whose `incflow`/`policy`/
+    /// The hierarchical scheduler. `Some` switches the decision engine:
+    /// requests route through [`HierarchicalScheduler::allocate`]
+    /// instead of the flat LP policy, whose `incflow`/`policy`/
     /// fast-reject machinery then goes unused for decisions.
-    front: Option<BatchedAdmission>,
-    /// Last executor-fallback total mirrored into the telemetry plane
-    /// (the executor keeps a cumulative counter; telemetry counters are
-    /// additive, so the server publishes deltas).
-    last_fallbacks: u64,
+    hier: Option<HierarchicalScheduler>,
     /// The multi-resource decision engine. `Some` makes this a
     /// multi-resource server: `RequestMulti`/`ReportMulti` are the data
     /// path and the single-resource RPCs answer `Unsupported`.
@@ -1127,23 +1092,21 @@ impl ServerCore {
             fulfil_shortfall_units: KahanSum::default(),
             journaled_units: KahanSum::default(),
             telemetry,
-            front: None,
-            last_fallbacks: 0,
+            hier: None,
             multi: None,
         }
     }
 
-    /// A core whose decisions run through the batched admission front
-    /// door. The flat incremental-flow table is kept (over an empty
+    /// A core whose decisions run through a hierarchical scheduler. The
+    /// flat incremental-flow table is kept (over an empty
     /// agreement matrix) purely so the availability/lease machinery and
     /// the state snapshot stay the single code path they are on a flat
     /// core; it is never consulted for a decision.
-    fn hierarchical(sched: HierarchicalScheduler, telemetry: Telemetry) -> ServerCore {
+    fn hierarchical(mut sched: HierarchicalScheduler, telemetry: Telemetry) -> ServerCore {
         let n = sched.num_principals();
-        let mut front = BatchedAdmission::new(sched);
-        front.set_telemetry(telemetry.clone());
+        sched.set_telemetry(telemetry.clone());
         let mut core = Self::with_telemetry(AgreementMatrix::zeros(n), 1, telemetry);
-        core.front = Some(front);
+        core.hier = Some(sched);
         core
     }
 
@@ -1252,21 +1215,18 @@ impl ServerCore {
         stats.fulfil_shortfall_units = self.fulfil_shortfall_units.total();
         stats.journaled_units = self.journaled_units.total();
         stats.flow_rows_recomputed = self.incflow.rows_recomputed() as u64;
-        if let Some(front) = &self.front {
-            stats.executor_fallbacks_sequential = front.scheduler().executor_fallbacks();
-        }
         stats
     }
 
-    /// Decide an in-range request on the hierarchical engine: the front
-    /// door's one-by-one path (a singleton batch, bit for bit). The
-    /// front door commits the draws itself; only the books move here.
+    /// Decide an in-range request on the hierarchical engine and commit
+    /// the draws into the view. Errors leave the view untouched.
     fn decide_hier(&mut self, lrm: usize, amount: f64) -> Result<Allocation, GrmError> {
-        let front = self.front.as_ref().expect("hierarchical engine");
-        let res = front.admit_one(&mut self.state.availability, lrm, amount);
-        self.sync_executor_fallbacks();
-        match res {
+        let sched = self.hier.as_ref().expect("hierarchical engine");
+        match sched.allocate(&self.state.availability, lrm, amount) {
             Ok(alloc) => {
+                for (v, d) in self.state.availability.iter_mut().zip(&alloc.draws) {
+                    *v = (*v - d).max(0.0);
+                }
                 self.stats.granted += 1;
                 self.granted_units.add(alloc.amount);
                 self.telemetry.add("grm.granted", 1);
@@ -1283,23 +1243,6 @@ impl ServerCore {
                     self.stats.rejected_capacity += 1;
                 }
                 Err(GrmError::Sched(e))
-            }
-        }
-    }
-
-    /// Mirror the executor's cumulative sequential-fallback counter into
-    /// the telemetry plane as increments. Guarded on `enabled()` so the
-    /// disabled plane keeps its one-branch cost (no atomic load).
-    fn sync_executor_fallbacks(&mut self) {
-        if !self.telemetry.enabled() {
-            return;
-        }
-        if let Some(front) = &self.front {
-            let total = front.scheduler().executor_fallbacks();
-            let delta = total.saturating_sub(self.last_fallbacks);
-            if delta > 0 {
-                self.telemetry.add("grm.executor_fallbacks_sequential", delta);
-                self.last_fallbacks = total;
             }
         }
     }
@@ -1437,114 +1380,6 @@ impl ServerCore {
         }
     }
 
-    /// Decide a contiguous run of drained requests through the batched
-    /// admission front door. Equivalent to calling `handle` on each
-    /// message in order — same decisions bit for bit, same counters,
-    /// same dedup-window contents — because (a) `admit_batch` is
-    /// bit-identical to `admit_one` in input order and (b) the entries
-    /// answered outside the batch (dedup hits, in-run duplicates,
-    /// unknown LRMs) never touch availability, so pulling them out
-    /// cannot move any batched decision.
-    fn handle_request_run(&mut self, run: Vec<QueuedRequest>) {
-        let n = self.state.n();
-        let mut slots: Vec<RunSlot> = Vec::with_capacity(run.len());
-        // `replay_needed[j]` marks originals some later in-run duplicate
-        // replays, so only those pay for keeping a decision clone.
-        let mut replay_needed = vec![false; run.len()];
-        let mut in_run: HashMap<RequestId, usize> = HashMap::new();
-        let mut reqs: Vec<AdmissionRequest> = Vec::new();
-        for (i, q) in run.iter().enumerate() {
-            self.telemetry.stop(HistKind::QueueWaitSeconds, q.enqueued);
-            if let Some(id) = q.req_id {
-                if let Some(cached) = self.dedup.get(&id) {
-                    self.stats.duplicate_requests += 1;
-                    let res = match cached {
-                        CachedReply::Grant(r) => r.clone(),
-                        _ => Err(GrmError::Sched(SchedError::InvalidRequest { amount: q.amount })),
-                    };
-                    let _ = q.reply.send(res);
-                    slots.push(RunSlot::Answered);
-                    continue;
-                }
-                if let Some(&j) = in_run.get(&id) {
-                    // One-at-a-time delivery would find the original's
-                    // decision already in the window; here it does not
-                    // exist yet, so the reply is deferred.
-                    self.stats.duplicate_requests += 1;
-                    replay_needed[j] = true;
-                    slots.push(RunSlot::DupOf(j));
-                    continue;
-                }
-                in_run.insert(id, i);
-            }
-            self.stats.requests += 1;
-            self.telemetry.add("grm.requests", 1);
-            if q.lrm >= n {
-                slots.push(RunSlot::Decided(Err(GrmError::UnknownLrm(q.lrm))));
-            } else {
-                reqs.push(AdmissionRequest { requester: q.lrm, amount: q.amount });
-                slots.push(RunSlot::Batched);
-            }
-        }
-        let span = if reqs.is_empty() { None } else { self.telemetry.start() };
-        let front = self.front.as_ref().expect("hierarchical engine");
-        let decisions = front.admit_batch(&mut self.state.availability, &reqs);
-        self.telemetry.stop(HistKind::RequestLatencySeconds, span);
-        self.stats.batched_allocations += reqs.len() as u64;
-        if !reqs.is_empty() {
-            self.telemetry.add("grm.batched_allocations", reqs.len() as u64);
-            self.telemetry.observe(HistKind::BatchSize, reqs.len() as f64);
-        }
-        self.sync_executor_fallbacks();
-        // Book, remember, and answer in arrival order. Batched entries
-        // consume the decision stream positionally.
-        let mut decisions = decisions.into_iter();
-        let mut replays: HashMap<usize, Result<Allocation, GrmError>> = HashMap::new();
-        for (i, (q, slot)) in run.iter().zip(slots).enumerate() {
-            let is_dup = matches!(slot, RunSlot::DupOf(_));
-            let res = match slot {
-                RunSlot::Answered => continue,
-                RunSlot::DupOf(j) => {
-                    replays.get(&j).cloned().expect("in-run original decided before its duplicate")
-                }
-                RunSlot::Decided(r) => r,
-                RunSlot::Batched => {
-                    match decisions.next().expect("one decision per batched request") {
-                        Ok(alloc) => {
-                            self.stats.granted += 1;
-                            self.granted_units.add(alloc.amount);
-                            self.telemetry.add("grm.granted", 1);
-                            self.telemetry.record_with(|| TelemetryEvent::Granted {
-                                requester: q.lrm,
-                                amount: alloc.amount,
-                                theta: alloc.theta,
-                                draws: alloc.draws.clone(),
-                            });
-                            Ok(alloc)
-                        }
-                        Err(e) => {
-                            if matches!(e, SchedError::InsufficientCapacity { .. }) {
-                                self.stats.rejected_capacity += 1;
-                            }
-                            Err(GrmError::Sched(e))
-                        }
-                    }
-                }
-            };
-            if let Some(id) = q.req_id {
-                // Dedup hits never re-insert; in-run duplicates mirror
-                // that. Everything decided here is remembered.
-                if !is_dup {
-                    self.dedup.insert(id, CachedReply::Grant(res.clone()));
-                }
-            }
-            if replay_needed[i] {
-                replays.insert(i, res.clone());
-            }
-            let _ = q.reply.send(res);
-        }
-    }
-
     /// Handle one message. Returns `false` on `Shutdown`.
     fn handle(&mut self, msg: Msg) -> bool {
         let n = self.state.n();
@@ -1557,26 +1392,27 @@ impl ServerCore {
                 self.apply_tick(now, lease);
             }
             Msg::Join { reply } => {
-                if self.front.is_some() || self.multi.is_some() {
-                    // The hierarchical partition (and a multi engine's
-                    // lane dimensions) are fixed at construction;
-                    // `Sender<usize>` cannot carry an error, so the
-                    // sentinel answers "no index".
-                    let _ = reply.send(usize::MAX);
-                    return true;
-                }
-                let newcomer = self.incflow.grow();
-                self.state.availability.push(0.0);
-                // The newcomer's lease starts at the current clock: a
-                // join after the clock has advanced must not be born
-                // lease-expired.
-                self.last_report.push(self.clock);
-                self.run_stamp.push(0);
-                self.refresh_flow();
-                let _ = reply.send(newcomer);
+                // The hierarchical partition (and a multi engine's lane
+                // dimensions) are fixed at construction.
+                let res = if self.hier.is_some() {
+                    Err(GrmError::Unsupported("join on a hierarchical GRM (fixed partition)"))
+                } else if self.multi.is_some() {
+                    Err(GrmError::Unsupported("join on a multi-resource GRM (fixed membership)"))
+                } else {
+                    let newcomer = self.incflow.grow();
+                    self.state.availability.push(0.0);
+                    // The newcomer's lease starts at the current clock: a
+                    // join after the clock has advanced must not be born
+                    // lease-expired.
+                    self.last_report.push(self.clock);
+                    self.run_stamp.push(0);
+                    self.refresh_flow();
+                    Ok(newcomer)
+                };
+                let _ = reply.send(res);
             }
             Msg::Leave { lrm, reply } => {
-                let res = if self.front.is_some() {
+                let res = if self.hier.is_some() {
                     Err(GrmError::Unsupported("leave on a hierarchical GRM (fixed partition)"))
                 } else if self.multi.is_some() {
                     Err(GrmError::Unsupported("leave on a multi-resource GRM (fixed membership)"))
@@ -1616,7 +1452,7 @@ impl ServerCore {
                     ))
                 } else if lrm >= n {
                     Err(GrmError::UnknownLrm(lrm))
-                } else if self.front.is_some() {
+                } else if self.hier.is_some() {
                     self.decide_hier(lrm, amount)
                 } else {
                     self.decide(lrm, amount)
@@ -1758,7 +1594,7 @@ impl ServerCore {
                 }
             }
             Msg::SetAgreement { from, to, share, reply } => {
-                let res = if self.front.is_some() {
+                let res = if self.hier.is_some() {
                     Err(GrmError::Unsupported(
                         "set_agreement on a hierarchical GRM; renegotiate with set_inter_group",
                     ))
@@ -1804,8 +1640,8 @@ impl ServerCore {
                     }
                 } else if self.multi.is_some() {
                     Err(GrmError::Unsupported("set_inter_group on a flat multi-resource GRM"))
-                } else if let Some(front) = self.front.as_mut() {
-                    match front.set_inter(from_group, to_group, share) {
+                } else if let Some(sched) = self.hier.as_mut() {
+                    match sched.set_inter(from_group, to_group, share) {
                         Ok(rows) => {
                             self.stats.agreement_updates += 1;
                             self.telemetry.add("grm.agreement_updates", 1);
@@ -1883,22 +1719,6 @@ impl ServerCore {
                     }
                     self.apply_tick(latest, lease);
                 }
-                Msg::Request { lrm, amount, req_id, enqueued, reply } if self.front.is_some() => {
-                    // On the hierarchical engine a contiguous run of
-                    // requests becomes one admission batch. Runs never
-                    // extend across other message kinds, so nothing is
-                    // reordered relative to reports, ticks, releases,
-                    // or renegotiations.
-                    let mut run = vec![QueuedRequest { lrm, amount, req_id, enqueued, reply }];
-                    while let Some(Msg::Request { .. }) = it.peek() {
-                        let Some(Msg::Request { lrm, amount, req_id, enqueued, reply }) = it.next()
-                        else {
-                            unreachable!("peeked a Request");
-                        };
-                        run.push(QueuedRequest { lrm, amount, req_id, enqueued, reply });
-                    }
-                    self.handle_request_run(run);
-                }
                 other => {
                     if !self.handle(other) {
                         return false;
@@ -1919,8 +1739,7 @@ fn serve_core(mut core: ServerCore, rx: Receiver<Msg>, telemetry: Telemetry) {
     // Coalescing drain loop: block for the first message of a wakeup,
     // then drain everything already queued and hand the batch to the
     // core, so a burst of reports costs one pass instead of one wakeup
-    // each (and, on a hierarchical engine, a burst of requests becomes
-    // one admission batch).
+    // each.
     let mut batch: Vec<Msg> = Vec::new();
     while let Ok(first) = rx.recv() {
         batch.push(first);
@@ -2611,19 +2430,16 @@ mod tests {
     }
 
     /// Two groups of two with symmetric 50% inter-group sharing.
-    fn hier_sched(parallel: bool) -> HierarchicalScheduler {
+    fn hier_sched() -> HierarchicalScheduler {
         let mut inter = AgreementMatrix::zeros(2);
         inter.set(0, 1, 0.5).unwrap();
         inter.set(1, 0, 0.5).unwrap();
-        let mut sched =
-            HierarchicalScheduler::new(vec![vec![0, 1], vec![2, 3]], &inter, 1).unwrap();
-        sched.set_parallel_fine(parallel);
-        sched
+        HierarchicalScheduler::new(vec![vec![0, 1], vec![2, 3]], &inter, 1).unwrap()
     }
 
     #[test]
     fn hierarchical_grm_round_trip() {
-        let grm = GrmServer::spawn_hierarchical(hier_sched(false));
+        let grm = GrmServer::spawn_hierarchical(hier_sched());
         let h = grm.handle();
         for i in 0..4 {
             h.report(i, 10.0).unwrap();
@@ -2645,17 +2461,18 @@ mod tests {
         assert_eq!(s.granted, 1);
         assert_eq!(s.rejected_capacity, 1);
         assert!((s.granted_units - 15.0).abs() < 1e-9);
-        assert_eq!(s.batched_allocations, 2, "every request went through the front door");
+        assert_eq!(s.batched_allocations, 0, "requests are never batched");
+        assert_eq!(s.executor_fallbacks_sequential, 0, "there is no executor to fall back from");
         grm.shutdown();
     }
 
     #[test]
     fn hierarchical_grm_rejects_flat_only_management_ops() {
-        let grm = GrmServer::spawn_hierarchical(hier_sched(false));
+        let grm = GrmServer::spawn_hierarchical(hier_sched());
         let h = grm.handle();
         assert!(matches!(h.set_agreement(0, 1, 0.5), Err(GrmError::Unsupported(_))));
         assert!(matches!(h.leave(0), Err(GrmError::Unsupported(_))));
-        assert_eq!(h.join().unwrap(), usize::MAX, "fixed partition: no index to give");
+        assert!(matches!(h.join(), Err(GrmError::Unsupported(_))), "fixed partition");
         grm.shutdown();
         // And the coarse renegotiation is hierarchical-only.
         let flat = GrmServer::spawn(complete(2, 0.5), 1);
@@ -2678,99 +2495,6 @@ mod tests {
         let s = h.stats().unwrap();
         assert_eq!(s.agreement_updates, 1);
         grm.shutdown();
-    }
-
-    /// One message trace with a contiguous request run, delivered one
-    /// `handle` call at a time vs through `handle_batch`'s batched front
-    /// door. Every reply, the availability vector, and the counters must
-    /// agree bit for bit (`batched_allocations` — bookkeeping for which
-    /// door decided — is the one permitted difference).
-    fn hier_batched_run_matches_one_by_one(parallel: bool) {
-        let id_a = RequestId { client: 1, seq: 1 };
-        let id_b = RequestId { client: 1, seq: 2 };
-        let build_trace = || {
-            let mut msgs = Vec::new();
-            let mut replies = Vec::new();
-            for (lrm, avail) in [(0, 6.0), (1, 4.0), (2, 10.0), (3, 2.0)] {
-                msgs.push(Msg::Report { lrm, available: avail });
-            }
-            // A run mixing grants, an in-run duplicate, an unknown LRM,
-            // a capacity rejection, and an invalid amount.
-            for (lrm, amount, req_id) in [
-                (0, 3.0, Some(id_a)),
-                (2, 5.0, None),
-                (0, 3.0, Some(id_a)), // in-run duplicate: replays, no re-grant
-                (7, 1.0, None),       // unknown LRM
-                (1, 100.0, None),     // beyond reach
-                (3, 4.0, Some(id_b)), // needs the coarse cross-group path
-                (3, -1.0, None),      // invalid amount
-            ] {
-                let (tx, rx) = unbounded();
-                msgs.push(Msg::Request { lrm, amount, req_id, enqueued: None, reply: tx });
-                replies.push(rx);
-            }
-            // A report breaks the run; the retry of `id_a` behind it is
-            // a window hit on both paths.
-            msgs.push(Msg::Report { lrm: 1, available: 9.0 });
-            let (tx, rx) = unbounded();
-            msgs.push(Msg::Request {
-                lrm: 0,
-                amount: 3.0,
-                req_id: Some(id_a),
-                enqueued: None,
-                reply: tx,
-            });
-            replies.push(rx);
-            (msgs, replies)
-        };
-
-        let (msgs_one, replies_one) = build_trace();
-        let (msgs_batch, replies_batch) = build_trace();
-
-        let mut one = ServerCore::hierarchical(hier_sched(parallel), Telemetry::default());
-        for m in msgs_one {
-            assert!(one.handle(m));
-        }
-        let mut batched = ServerCore::hierarchical(hier_sched(parallel), Telemetry::default());
-        let mut batch = msgs_batch;
-        assert!(batched.handle_batch(&mut batch));
-
-        for (ra, rb) in replies_one.iter().zip(&replies_batch) {
-            let (a, b) = (ra.try_recv().unwrap(), rb.try_recv().unwrap());
-            assert_eq!(a, b);
-            if let (Ok(a), Ok(b)) = (&a, &b) {
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&a.draws), bits(&b.draws), "draws bit-identical");
-            }
-        }
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&one.state.availability), bits(&batched.state.availability));
-        let (mut s1, mut s2) = (one.published_stats(), batched.published_stats());
-        assert_eq!(s1.batched_allocations, 0, "one-at-a-time delivery never batches");
-        assert_eq!(
-            s2.batched_allocations, 5,
-            "the dup, the unknown LRM, and the window hit stay out of the batch"
-        );
-        assert_eq!(s1.duplicate_requests, 2);
-        assert_eq!(s2.duplicate_requests, 2);
-        // The executor decides per-wave whether fanning out pays, so the
-        // fallback counter legitimately differs between a batch and 8
-        // runs of one.
-        s1.batched_allocations = 0;
-        s2.batched_allocations = 0;
-        s1.executor_fallbacks_sequential = 0;
-        s2.executor_fallbacks_sequential = 0;
-        assert_eq!(s1, s2, "all other counters agree");
-    }
-
-    #[test]
-    fn hierarchical_batched_run_matches_one_by_one_sequential() {
-        hier_batched_run_matches_one_by_one(false);
-    }
-
-    #[test]
-    fn hierarchical_batched_run_matches_one_by_one_parallel() {
-        hier_batched_run_matches_one_by_one(true);
     }
 
     #[test]
@@ -2906,7 +2630,7 @@ mod tests {
         assert!(matches!(h.leave(0), Err(GrmError::Unsupported(_))));
         assert!(matches!(h.set_agreement(0, 1, 0.2), Err(GrmError::Unsupported(_))));
         assert!(matches!(h.set_inter_group(0, 1, 0.2), Err(GrmError::Unsupported(_))));
-        assert_eq!(h.join().unwrap(), usize::MAX, "fixed membership sentinel");
+        assert!(matches!(h.join(), Err(GrmError::Unsupported(_))), "fixed membership");
         multi.shutdown();
 
         let flat = GrmServer::spawn(complete(2, 0.5), 1);
@@ -2935,7 +2659,7 @@ mod tests {
 
         // Two groups of two per lane, symmetric 50% inter-group sharing —
         // the same shape as `hier_sched`, once per resource.
-        let lanes: Vec<HierarchicalScheduler> = (0..2).map(|_| hier_sched(false)).collect();
+        let lanes: Vec<HierarchicalScheduler> = (0..2).map(|_| hier_sched()).collect();
         let front = MultiAdmission::new(vec!["cpu", "bandwidth"], lanes).unwrap();
         let grm = GrmServer::spawn_multi_hierarchical(front);
         let h = grm.handle();

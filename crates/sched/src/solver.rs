@@ -27,10 +27,8 @@
 //! `allocate_up_to` here is **single-solve**: the reachable capacity is
 //! already computed for the admission check, so best-effort placement
 //! clamps the demand to it and solves once, instead of the trait default's
-//! solve → catch `InsufficientCapacity` → re-solve round trip. The old
-//! two-solve behaviour stays available behind
-//! [`AllocationSolver::set_two_solve_best_effort`] and is property-tested
-//! equivalent.
+//! solve → catch `InsufficientCapacity` → re-solve round trip; the tests
+//! keep that round trip as a local reference and check the two agree.
 
 use crate::admission::{admission_bound, exceeds_bound};
 use crate::error::SchedError;
@@ -99,7 +97,6 @@ pub struct AllocationSolver {
     skeleton: Option<Skeleton>,
     /// Entitlement bound scratch, recomputed per request.
     bound: Vec<f64>,
-    two_solve_best_effort: bool,
     stats: SolverStats,
     /// Telemetry plane; disabled (no-op) by default.
     telemetry: Telemetry,
@@ -114,7 +111,6 @@ impl AllocationSolver {
             ws: SimplexWorkspace::new(),
             skeleton: None,
             bound: Vec::new(),
-            two_solve_best_effort: false,
             stats: SolverStats::default(),
             telemetry: Telemetry::default(),
         }
@@ -138,13 +134,6 @@ impl AllocationSolver {
     /// from the previous one and stays bit-reproducible.
     pub fn invalidate_warm_start(&mut self) {
         self.ws.invalidate_warm_start();
-    }
-
-    /// Revert `allocate_up_to` to the legacy two-solve behaviour
-    /// (allocate, catch `InsufficientCapacity`, retry at the reachable
-    /// amount). Kept for equivalence testing and A/B measurement.
-    pub fn set_two_solve_best_effort(&mut self, on: bool) {
-        self.two_solve_best_effort = on;
     }
 
     /// The formulation this solver uses.
@@ -182,22 +171,13 @@ impl AllocationSolver {
     }
 
     /// Best-effort placement: serve `min(x, reachable)` in a single LP
-    /// solve (or the legacy two solves when the flag is set).
+    /// solve.
     pub fn allocate_up_to(
         &mut self,
         state: &SystemState,
         requester: usize,
         x: f64,
     ) -> Result<Allocation, SchedError> {
-        if self.two_solve_best_effort {
-            return match self.allocate(state, requester, x) {
-                Ok(a) => Ok(a),
-                Err(SchedError::InsufficientCapacity { capacity, .. }) => {
-                    self.allocate(state, requester, capacity.max(0.0).min(x))
-                }
-                Err(e) => Err(e),
-            };
-        }
         self.place(state, requester, x, true)
     }
 
@@ -559,25 +539,40 @@ mod tests {
         assert_eq!(cold.stats().warm_hits, 0);
     }
 
+    /// The round-trip reference for `allocate_up_to`: allocate, and on
+    /// `InsufficientCapacity` retry at the reported reachable amount.
+    fn retry_best_effort(
+        solver: &mut AllocationSolver,
+        state: &SystemState,
+        requester: usize,
+        x: f64,
+    ) -> Result<Allocation, SchedError> {
+        match solver.allocate(state, requester, x) {
+            Err(SchedError::InsufficientCapacity { capacity, .. }) => {
+                solver.allocate(state, requester, capacity.max(0.0).min(x))
+            }
+            other => other,
+        }
+    }
+
     #[test]
-    fn single_solve_matches_two_solve_best_effort() {
+    fn single_solve_matches_retry_best_effort() {
         let mut single = AllocationSolver::reduced();
         let mut double = AllocationSolver::reduced();
-        double.set_two_solve_best_effort(true);
         let st = mk_state(2, &[(1, 0, 0.5)], vec![1.0, 10.0], 1);
         // Excess demand: both clamp to the reachable 6.0 — exactly, not
         // shaved by an epsilon.
         let s = single.allocate_up_to(&st, 0, 100.0).unwrap();
-        let d = double.allocate_up_to(&st, 0, 100.0).unwrap();
+        let d = retry_best_effort(&mut double, &st, 0, 100.0).unwrap();
         assert_eq!(s.amount, 6.0);
         assert_eq!(s.amount, d.amount);
         assert_eq!(s.draws, d.draws);
         assert_eq!(s.theta, d.theta);
         assert_eq!(single.stats().bound_builds, 1, "one admission pass");
-        assert_eq!(double.stats().bound_builds, 2, "legacy path re-runs admission");
+        assert_eq!(double.stats().bound_builds, 2, "the retry re-runs admission");
         // In-capacity demand: both solve once and agree.
         let s2 = single.allocate_up_to(&st, 0, 2.0).unwrap();
-        let d2 = double.allocate_up_to(&st, 0, 2.0).unwrap();
+        let d2 = retry_best_effort(&mut double, &st, 0, 2.0).unwrap();
         assert_eq!(s2.draws, d2.draws);
     }
 

@@ -1,10 +1,11 @@
 //! Degeneracy oracle for the multi-resource admission path.
 //!
 //! A single-resource config routed through [`MultiAdmission`] with one
-//! lane must be **bit-identical** to the existing single-resource
-//! [`BatchedAdmission`] path — verdicts, grants (amount, theta, every
-//! draw), the availability vector left behind, and the executor
-//! fallback stats. The one sanctioned difference: multi-path capacity
+//! lane must be **bit-identical** to the single-resource path —
+//! [`HierarchicalScheduler::allocate`] followed by the GRM's
+//! `(v − d).max(0.0)` commit — in verdicts, grants (amount, theta, every
+//! draw), and the availability vector left behind. The one sanctioned
+//! difference: multi-path capacity
 //! rejections carry `resource: Some("cpu")` where the single path says
 //! `None` — the payload is otherwise identical, which is exactly what
 //! these properties check after substituting the tag out.
@@ -15,8 +16,7 @@
 
 use agreements_flow::AgreementMatrix;
 use agreements_sched::{
-    AdmissionRequest, Allocation, BatchedAdmission, HierarchicalScheduler, MultiAdmission,
-    MultiAdmissionRequest, MultiAllocation, SchedError,
+    Allocation, HierarchicalScheduler, MultiAdmission, MultiAllocation, SchedError,
 };
 use proptest::prelude::*;
 
@@ -49,7 +49,7 @@ fn arb_degen() -> impl Strategy<Value = DegenScenario> {
     })
 }
 
-fn build_sched(sc: &DegenScenario, parallel: bool) -> HierarchicalScheduler {
+fn build_sched(sc: &DegenScenario) -> HierarchicalScheduler {
     let g = sc.num_groups;
     let mut inter = AgreementMatrix::zeros(g);
     for i in 0..g {
@@ -61,13 +61,26 @@ fn build_sched(sc: &DegenScenario, parallel: bool) -> HierarchicalScheduler {
     }
     let groups: Vec<Vec<usize>> =
         (0..g).map(|gi| (gi * sc.group_size..(gi + 1) * sc.group_size).collect()).collect();
-    let mut sched = HierarchicalScheduler::new(groups, &inter, 1).unwrap();
-    sched.set_parallel_fine(parallel);
-    sched
+    HierarchicalScheduler::new(groups, &inter, 1).unwrap()
 }
 
-fn build_multi(sc: &DegenScenario, parallel: bool) -> MultiAdmission {
-    MultiAdmission::new(vec!["cpu"], vec![build_sched(sc, parallel)]).unwrap()
+fn build_multi(sc: &DegenScenario) -> MultiAdmission {
+    MultiAdmission::new(vec!["cpu"], vec![build_sched(sc)]).unwrap()
+}
+
+/// The single-resource path: allocate, then commit the draws with the
+/// GRM's `(v − d).max(0.0)` expression. Errors leave `avail` untouched.
+fn admit_single(
+    sched: &HierarchicalScheduler,
+    avail: &mut [f64],
+    requester: usize,
+    amount: f64,
+) -> Result<Allocation, SchedError> {
+    let alloc = sched.allocate(avail, requester, amount)?;
+    for (v, d) in avail.iter_mut().zip(&alloc.draws) {
+        *v = (*v - *d).max(0.0);
+    }
+    Ok(alloc)
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -123,69 +136,19 @@ fn assert_degenerate_identical(
     Ok(())
 }
 
-fn to_single(pairs: &[(usize, f64)]) -> Vec<AdmissionRequest> {
-    pairs.iter().map(|&(requester, amount)| AdmissionRequest { requester, amount }).collect()
-}
-
-fn to_multi(pairs: &[(usize, f64)]) -> Vec<MultiAdmissionRequest> {
-    pairs
-        .iter()
-        .map(|&(requester, amount)| MultiAdmissionRequest { requester, amounts: vec![amount] })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Parallel batched: one-lane multi admit_batch ≡ single-resource
-    /// admit_batch, including the executor fallback counters.
-    #[test]
-    fn single_lane_batch_is_bit_identical(sc in arb_degen()) {
-        let single = BatchedAdmission::new(build_sched(&sc, true));
-        let multi = build_multi(&sc, true);
-        let mut avail_s = sc.avail.clone();
-        let s = single.admit_batch(&mut avail_s, &to_single(&sc.reqs));
-        let mut avail_m = vec![sc.avail.clone()];
-        let m = multi.admit_batch(&mut avail_m, &to_multi(&sc.reqs));
-
-        assert_degenerate_identical(&s, &m)?;
-        prop_assert_eq!(bits(&avail_s), bits(&avail_m[0]), "availability diverged");
-        prop_assert_eq!(
-            single.scheduler().executor_fallbacks(),
-            multi.lane(0).executor_fallbacks(),
-            "fallback stats diverged"
-        );
-    }
-
-    /// Sequential batched (the internal fallback loop): same identity.
-    #[test]
-    fn single_lane_sequential_batch_is_bit_identical(sc in arb_degen()) {
-        let single = BatchedAdmission::new(build_sched(&sc, false));
-        let multi = build_multi(&sc, false);
-        let mut avail_s = sc.avail.clone();
-        let s = single.admit_batch(&mut avail_s, &to_single(&sc.reqs));
-        let mut avail_m = vec![sc.avail.clone()];
-        let m = multi.admit_batch(&mut avail_m, &to_multi(&sc.reqs));
-
-        assert_degenerate_identical(&s, &m)?;
-        prop_assert_eq!(bits(&avail_s), bits(&avail_m[0]), "availability diverged");
-        prop_assert_eq!(
-            single.scheduler().executor_fallbacks(),
-            multi.lane(0).executor_fallbacks(),
-            "fallback stats diverged"
-        );
-    }
-
-    /// One-by-one: admit_one through one lane ≡ the single-resource
-    /// admit_one, request for request.
+    /// admit_one through one lane ≡ the single-resource allocate and
+    /// commit, request for request.
     #[test]
     fn single_lane_admit_one_is_bit_identical(sc in arb_degen()) {
-        let single = BatchedAdmission::new(build_sched(&sc, false));
-        let multi = build_multi(&sc, false);
+        let single = build_sched(&sc);
+        let multi = build_multi(&sc);
         let mut avail_s = sc.avail.clone();
         let mut avail_m = vec![sc.avail.clone()];
         for &(requester, amount) in &sc.reqs {
-            let s = single.admit_one(&mut avail_s, requester, amount);
+            let s = admit_single(&single, &mut avail_s, requester, amount);
             let m = multi.admit_one(&mut avail_m, requester, &[amount]);
             assert_degenerate_identical(
                 std::slice::from_ref(&s),
@@ -196,9 +159,9 @@ proptest! {
     }
 }
 
-/// Deterministic regression case: the exact mixed stream `batch.rs`
-/// uses (fine grants, a coarse stall, an unknown principal, an invalid
-/// amount, a capacity rejection, a zero request) through both engines.
+/// Deterministic regression case: a mixed stream (fine grants, a coarse
+/// overflow, an unknown principal, an invalid amount, a capacity
+/// rejection, a zero request) through both engines.
 #[test]
 fn degeneracy_regression_case() {
     let sc = DegenScenario {
@@ -210,7 +173,7 @@ fn degeneracy_regression_case() {
             (0, 2.0),
             (4, 3.0),
             (1, 4.5),
-            (2, 9.0),  // stalls onto the coarse path
+            (2, 9.0),  // overflows onto the coarse path
             (9, 1.0),  // unknown principal
             (5, -1.0), // invalid amount
             (3, 2.0),
@@ -218,12 +181,13 @@ fn degeneracy_regression_case() {
             (5, 0.0),
         ],
     };
-    let single = BatchedAdmission::new(build_sched(&sc, true));
-    let multi = build_multi(&sc, true);
+    let single = build_sched(&sc);
+    let multi = build_multi(&sc);
     let mut avail_s = sc.avail.clone();
-    let s = single.admit_batch(&mut avail_s, &to_single(&sc.reqs));
+    let s: Vec<_> =
+        sc.reqs.iter().map(|&(r, x)| admit_single(&single, &mut avail_s, r, x)).collect();
     let mut avail_m = vec![sc.avail.clone()];
-    let m = multi.admit_batch(&mut avail_m, &to_multi(&sc.reqs));
+    let m: Vec<_> = sc.reqs.iter().map(|&(r, x)| multi.admit_one(&mut avail_m, r, &[x])).collect();
 
     assert_degenerate_identical(&s, &m).unwrap();
     assert_eq!(bits(&avail_s), bits(&avail_m[0]));

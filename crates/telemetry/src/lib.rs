@@ -51,8 +51,9 @@ pub enum HistKind {
     RequestLatencySeconds,
     /// Dirty rows recomputed by one `IncrementalFlow::set` repair.
     FlowDirtyRows,
-    /// Allocation requests decided per contiguous request run inside one
-    /// GRM serve-loop wakeup (the batched-admission front door).
+    /// Allocation requests decided per admission batch. Nothing records
+    /// it any more (the GRM decides one request at a time); the kind
+    /// stays so snapshot layouts and readers keep working.
     BatchSize,
     /// Time an allocation request spent queued between the client's send
     /// and the serve loop starting its batch.
