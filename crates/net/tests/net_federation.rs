@@ -5,6 +5,7 @@
 //! durable dedup window exists for.
 
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use agreements_faults::FaultMix;
 use agreements_flow::AgreementMatrix;
@@ -257,6 +258,46 @@ fn duplicate_rpc_straddling_restart_replays_original_decision() {
         avail_before.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         "pools must carry across the restart untouched by the replay"
     );
+    daemon.shutdown();
+}
+
+/// Group commit is self-clocked: a lone request on an idle daemon is
+/// fsynced at once, not held for a fill threshold or a timer. The hold
+/// knob, set absurdly high here, must have no effect on the ack.
+#[test]
+fn lone_request_under_group_commit_acks_after_its_fsync_without_a_hold() {
+    let dir = scratch("selfclock");
+    let sock = dir.join("grm.sock");
+    let (journal, state) = DurableJournal::open_or_create(
+        &dir.join("journal"),
+        || fresh_snapshot(2, 50.0),
+        FsyncPolicy::Batched { max_pending: 32 },
+        Telemetry::disabled(),
+    )
+    .unwrap();
+    let server = state.respawn().unwrap();
+    let config = ListenerConfig {
+        max_hold: Duration::from_secs(10),
+        compact_every: 0,
+        ..ListenerConfig::default()
+    };
+    let daemon = GrmListener::bind_uds(&sock, server, journal, state, config).unwrap();
+    let client = NetGrmClient::uds(&sock);
+    client.availability().unwrap(); // connect; reads journal nothing
+    let (appended_before, _) = daemon.journal_lsns();
+
+    let started = Instant::now();
+    let rx = client.issue_request(0, 4.0, Some(RequestId { client: 9, seq: 0 })).unwrap();
+    let grant = rx.recv().unwrap().unwrap();
+    let waited = started.elapsed();
+
+    assert_eq!(grant.amount.to_bits(), 4.0f64.to_bits());
+    assert!(waited < Duration::from_millis(500), "lone request took {waited:?} to ack");
+    let (appended, synced) = daemon.journal_lsns();
+    assert_eq!(appended, appended_before + 1, "the decision is one journal record");
+    assert!(synced >= appended, "acked before an fsync covered it: synced {synced} < {appended}");
+    let (fsyncs, records) = daemon.group_commit_stats();
+    assert!(fsyncs >= 1 && records >= 1, "no group commit covered the decision");
     daemon.shutdown();
 }
 

@@ -127,8 +127,8 @@ impl HistKind {
             // 1 … 2^30 rows in power-of-two buckets.
             HistKind::FlowDirtyRows => (1.0, 2.0, 32),
             // Batch sizes are small integers; 1 … 2^22 is generous.
-            // Group-commit windows are bounded by `max_pending`, which
-            // shares the same range.
+            // Group-commit windows (records appended during one fsync)
+            // share the same range.
             HistKind::BatchSize | HistKind::GroupCommitRecords => (1.0, 2.0, 24),
             // Frames span a 6-byte ping to a ~1 MiB availability dump;
             // power-of-two buckets over 1 … 2^30 bytes.
