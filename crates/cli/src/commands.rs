@@ -87,7 +87,7 @@ USAGE:
   agreements simulate --spec SIM.json [--series] [--telemetry-out FILE]
   agreements serve --scenario SCENARIO.json --journal DIR \\
              (--socket PATH | --tcp ADDR) [--avail V0,V1,...] \\
-             [--fsync everyop|batched:N] [--sequenced] \\
+             [--fsync everyop|batched] [--sequenced] \\
              [--compact-every N] [--duration SECONDS]
   agreements help
 
@@ -101,6 +101,9 @@ after kill -9), and clients speak the framed wire protocol on the Unix
 socket or TCP address. --avail seeds the pools only when the journal is
 created; on recovery the journal wins. Without --duration it serves
 until killed — crash-safety, not clean shutdown, is the contract.
+--fsync batched group-commits: the daemon fsyncs as soon as anything
+is unsynced, and a reply leaves only once its decision is durable. The
+`batched:N` form older command lines use is accepted; N is ignored.
 ";
 
 /// Run a command line (without the binary name); returns stdout text.
@@ -624,17 +627,10 @@ fn serve(parsed: &Parsed) -> Result<String, CliError> {
         }
         None => vec![0.0; spec.n],
     };
-    let policy = match parsed.get("fsync").unwrap_or("everyop") {
-        "everyop" => FsyncPolicy::EveryOp,
-        s => match s.strip_prefix("batched:").and_then(|n| n.parse::<usize>().ok()) {
-            Some(max_pending) if max_pending > 0 => FsyncPolicy::Batched { max_pending },
-            _ => {
-                return Err(CliError::Domain(format!(
-                    "--fsync must be `everyop` or `batched:N`, got {s:?}"
-                )))
-            }
-        },
-    };
+    let fsync = parsed.get("fsync").unwrap_or("everyop");
+    let policy = FsyncPolicy::parse(fsync).ok_or_else(|| {
+        CliError::Domain(format!("--fsync must be `everyop` or `batched`, got {fsync:?}"))
+    })?;
     let journal_dir = std::path::PathBuf::from(parsed.required("journal")?);
     let fresh = Snapshot { matrix, level, availability: avail, next_seq: 0, dedup: Vec::new() };
     let (journal, recovered) = DurableJournal::open_or_create(
