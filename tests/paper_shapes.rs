@@ -271,3 +271,210 @@ fn golden_multires_scale_checksums_at_n100() {
         r.fairness_checksum
     );
 }
+
+/// FNV-1a step over a raw 64-bit word (counters, error codes).
+fn fnv_u64(acc: u64, v: u64) -> u64 {
+    (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Fold a GRM error: a per-kind code, then the capacity bits and the
+/// binding-resource name of a capacity rejection.
+fn fnv_grm_error(mut sum: u64, e: &sharing_agreements::grm::GrmError) -> u64 {
+    use sharing_agreements::grm::GrmError;
+    let code = match e {
+        GrmError::Sched(SchedError::InsufficientCapacity { capacity, resource, .. }) => {
+            sum = fnv_f64(sum, *capacity);
+            for b in resource.unwrap_or("").bytes() {
+                sum = fnv_u64(sum, b as u64);
+            }
+            1
+        }
+        GrmError::Sched(SchedError::InvalidRequest { .. }) => 2,
+        GrmError::Sched(_) => 3,
+        GrmError::Flow(_) => 4,
+        GrmError::UnknownLrm(_) => 5,
+        GrmError::Unsupported(_) => 6,
+        _ => 7,
+    };
+    fnv_u64(sum, code)
+}
+
+/// Drive one fixed event stream through a live GRM and fingerprint every
+/// reply, the final availability view and every `GrmStats` field.
+/// `lanes == None` drives the single-resource RPC family; `Some(rk)`
+/// drives the multi-resource family with `rk` lanes.
+fn grm_stream_checksum(grm: sharing_agreements::grm::GrmServer, lanes: Option<usize>) -> u64 {
+    use sharing_agreements::grm::{GrmError, RequestId};
+    use sharing_agreements::sched::Allocation;
+
+    let h = grm.handle();
+    let mut sum = FNV_BASIS;
+    let id = |seq| RequestId { client: 1, seq };
+    let spread = |x: f64| (0..lanes.unwrap_or(1)).map(|r| x * (1.0 + 0.25 * r as f64)).collect();
+    let report = |lrm: usize, v: f64| match lanes {
+        None => h.report(lrm, v).unwrap(),
+        Some(_) => h.report_multi(lrm, spread(v)).unwrap(),
+    };
+    // Every grant folds its draw bits (lane order); every refusal its
+    // error. Returns the single-lane allocation for a later release.
+    let request = |sum: &mut u64, lrm: usize, amount: f64, rid: u64| -> Option<Allocation> {
+        match lanes {
+            None => match h.request_idempotent(lrm, amount, id(rid)) {
+                Ok(a) => {
+                    *sum = a.draws.iter().fold(fnv_f64(*sum, a.amount), |s, &d| fnv_f64(s, d));
+                    Some(a)
+                }
+                Err(e) => {
+                    *sum = fnv_grm_error(*sum, &e);
+                    None
+                }
+            },
+            Some(_) => {
+                let amounts: Vec<f64> = spread(amount);
+                match h.request_multi_idempotent(lrm, &amounts, id(rid)) {
+                    Ok(m) => {
+                        for a in &m.lanes {
+                            *sum =
+                                a.draws.iter().fold(fnv_f64(*sum, a.amount), |s, &d| fnv_f64(s, d));
+                        }
+                        None
+                    }
+                    Err(e) => {
+                        *sum = fnv_grm_error(*sum, &e);
+                        None
+                    }
+                }
+            }
+        }
+    };
+    let unit = |sum: u64, r: Result<(), GrmError>| match r {
+        Ok(()) => fnv_u64(sum, 0),
+        Err(e) => fnv_grm_error(sum, &e),
+    };
+
+    h.tick(0, 5).unwrap();
+    for lrm in 0..4 {
+        report(lrm, 3.0 + 2.0 * lrm as f64);
+    }
+    let grant = request(&mut sum, 0, 2.5, 0);
+    // Duplicate id: answered from the dedup window.
+    request(&mut sum, 0, 2.5, 0);
+    // Capacity rejection, zero and invalid amounts, unknown LRM.
+    request(&mut sum, 1, 100.0, 1);
+    request(&mut sum, 2, 0.0, 2);
+    request(&mut sum, 3, -1.0, 3);
+    request(&mut sum, 9, 1.0, 4);
+    // Release (twice under one id) of the first grant, or of a stand-in
+    // on the multi-resource engines, which refuse single-lane releases.
+    let alloc = grant.unwrap_or(Allocation {
+        requester: 0,
+        amount: 1.0,
+        draws: vec![1.0, 0.0, 0.0, 0.0],
+        theta: 0.0,
+    });
+    sum = unit(sum, h.release_idempotent(alloc.clone(), id(5)));
+    sum = unit(sum, h.release_idempotent(alloc, id(5)));
+    // Renegotiation through both management surfaces.
+    sum = unit(sum, h.set_agreement(0, 2, 0.3));
+    sum = unit(sum, h.set_inter_group(0, 1, 0.8));
+    request(&mut sum, 2, 4.0, 6);
+    // LRM 3 stops reporting and its lease lapses at clock 7.
+    h.tick(4, 5).unwrap();
+    for lrm in 0..3 {
+        report(lrm, 4.0 + lrm as f64);
+    }
+    h.tick(7, 5).unwrap();
+    request(&mut sum, 3, 3.0, 7);
+    request(&mut sum, 0, 9.0, 8);
+    request(&mut sum, 1, 1.25, 9);
+    // Degraded-mode replay, duplicated; then an id reused across kinds.
+    sum = unit(sum, h.replay_grant(id(10), 1, 1.5));
+    sum = unit(sum, h.replay_grant(id(10), 1, 1.5));
+    request(&mut sum, 1, 1.0, 5);
+    h.report_fulfil_shortfall(2, 2.0, 1.5).unwrap();
+
+    let view: Vec<f64> = match lanes {
+        None => h.availability().unwrap(),
+        Some(_) => h.availability_multi().unwrap().concat(),
+    };
+    for v in view {
+        sum = fnv_f64(sum, v);
+    }
+    let s = h.stats().unwrap();
+    for c in [
+        s.requests,
+        s.granted,
+        s.rejected_capacity,
+        s.agreement_updates,
+        s.reports,
+        s.duplicate_requests,
+        s.partial_fulfils,
+        s.journaled_grants,
+        s.coalesced_reports,
+        s.fast_rejects,
+        s.flow_rows_recomputed,
+        s.batched_allocations,
+        s.executor_fallbacks_sequential,
+    ] {
+        sum = fnv_u64(sum, c);
+    }
+    for u in [s.granted_units, s.fulfil_shortfall_units, s.journaled_units] {
+        sum = fnv_f64(sum, u);
+    }
+    grm.shutdown();
+    sum
+}
+
+/// Golden fingerprints of the GRM daemon's decision core: one seeded
+/// event stream (reports, a lease expiry, grants, capacity rejections on
+/// the fast path and in the solver, releases, duplicate ids, and both
+/// renegotiation surfaces) through each of the four server flavours —
+/// flat and hierarchical, single- and multi-resource. Every other golden
+/// calls the schedulers directly; this one pins what a `GrmServer`
+/// answers, so any engine restructuring must reproduce it bit for bit.
+#[test]
+fn golden_grm_engine_checksums() {
+    use sharing_agreements::flow::AgreementMatrix;
+    use sharing_agreements::grm::GrmServer;
+    use sharing_agreements::sched::MultiAdmission;
+
+    // Two pairs sharing 50% within the pair, bridged 1 → 2.
+    let mut flat = AgreementMatrix::zeros(4);
+    for (i, j) in [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)] {
+        flat.set(i, j, 0.5).unwrap();
+    }
+    let hier = || {
+        let mut inter = AgreementMatrix::zeros(2);
+        inter.set(0, 1, 0.5).unwrap();
+        inter.set(1, 0, 0.25).unwrap();
+        HierarchicalScheduler::new(vec![vec![0, 1], vec![2, 3]], &inter, 1).unwrap()
+    };
+    let names = vec!["cpu", "bandwidth"];
+
+    let got = [
+        grm_stream_checksum(GrmServer::spawn(flat.clone(), 2), None),
+        grm_stream_checksum(GrmServer::spawn_hierarchical(hier()), None),
+        grm_stream_checksum(GrmServer::spawn_multi(names.clone(), flat, 2), Some(2)),
+        grm_stream_checksum(
+            GrmServer::spawn_multi_hierarchical(
+                MultiAdmission::new(names, vec![hier(), hier()]).unwrap(),
+            ),
+            Some(2),
+        ),
+    ];
+    let want: [u64; 4] = [
+        0xffb5_b615_c44a_ee47,
+        0x1ce4_56c7_1da8_c2b8,
+        0x24f2_7829_4d7a_4cee,
+        0xb592_150c_949b_0ea9,
+    ];
+    for (engine, (g, w)) in
+        ["flat", "hierarchical", "multi", "multi-hierarchical"].iter().zip(got.iter().zip(want))
+    {
+        assert_eq!(
+            *g, w,
+            "{engine} GRM fingerprint drifted: got {g:#018x} \
+             (re-pin only if the change to the decision core is intentional)"
+        );
+    }
+}
