@@ -10,8 +10,8 @@
 
 use agreements_flow::{AgreementMatrix, FlowError, IncrementalFlow};
 use agreements_sched::{
-    admission_bound, exceeds_bound, first_binding_resource, Allocation, AllocationSolver,
-    HierarchicalScheduler, MultiAdmission, MultiAllocation, MultiSolver, SchedError, SystemState,
+    first_binding_resource, Allocation, HierarchicalScheduler, MultiAdmission, MultiAllocation,
+    MultiSolver, SchedError, SystemState,
 };
 use agreements_telemetry::{HistKind, Telemetry, TelemetryEvent};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -157,11 +157,63 @@ pub enum RecordedDecision {
     Replay(Result<(), GrmError>),
 }
 
+/// The reply channel of an allocation request. Its variant names the
+/// RPC family that called (`request*` or `request_multi*`), which is how
+/// the core tells a single-resource call from a multi-resource one.
+#[derive(Clone)]
+enum GrantReply {
+    Single(Sender<Result<Allocation, GrmError>>),
+    Multi(Sender<Result<MultiAllocation, GrmError>>),
+}
+
+impl GrantReply {
+    /// Answer with `res` in the calling family's shape (a single-resource
+    /// grant is the one lane of `res`); returns the dedup record when
+    /// `remember` is set.
+    fn send(
+        self,
+        res: Result<MultiAllocation, GrmError>,
+        remember: bool,
+    ) -> Option<RecordedDecision> {
+        match self {
+            GrantReply::Single(tx) => {
+                let res = res.map(|m| {
+                    m.lanes.into_iter().next().expect("a single-resource grant has one lane")
+                });
+                let rec = remember.then(|| RecordedDecision::Grant(res.clone()));
+                let _ = tx.send(res);
+                rec
+            }
+            GrantReply::Multi(tx) => {
+                let rec = remember.then(|| RecordedDecision::GrantMulti(res.clone()));
+                let _ = tx.send(res);
+                rec
+            }
+        }
+    }
+}
+
+/// The reply channel of an availability snapshot; the variant names the
+/// RPC family (`availability` or `availability_multi`).
+#[derive(Clone)]
+enum ViewReply {
+    Single(Sender<Result<Vec<f64>, GrmError>>),
+    Multi(Sender<Result<Vec<Vec<f64>>, GrmError>>),
+}
+
+/// An availability report's payload; the variant names the RPC family
+/// (`report` or `report_multi`).
+#[derive(Clone)]
+enum Reported {
+    Single(f64),
+    Multi(Vec<f64>),
+}
+
 #[derive(Clone)]
 enum Msg {
     Report {
         lrm: usize,
-        available: f64,
+        available: Reported,
     },
     Tick {
         now: u64,
@@ -176,27 +228,14 @@ enum Msg {
     },
     Request {
         lrm: usize,
-        amount: f64,
+        /// One amount per resource lane (one for a single-resource call).
+        amounts: Vec<f64>,
         req_id: Option<RequestId>,
         /// Send-time stamp for the queue-wait histogram; `None` when the
         /// issuing handle's telemetry plane is disabled (the stamp costs
         /// a clock read, so it is only taken when someone will look).
         enqueued: Option<Instant>,
-        reply: Sender<Result<Allocation, GrmError>>,
-    },
-    RequestMulti {
-        lrm: usize,
-        amounts: Vec<f64>,
-        req_id: Option<RequestId>,
-        enqueued: Option<Instant>,
-        reply: Sender<Result<MultiAllocation, GrmError>>,
-    },
-    ReportMulti {
-        lrm: usize,
-        available: Vec<f64>,
-    },
-    AvailabilityMulti {
-        reply: Sender<Result<Vec<Vec<f64>>, GrmError>>,
+        reply: GrantReply,
     },
     Release {
         alloc: Allocation,
@@ -232,7 +271,7 @@ enum Msg {
         reply: Sender<()>,
     },
     Availability {
-        reply: Sender<Vec<f64>>,
+        reply: ViewReply,
     },
     Stats {
         reply: Sender<GrmStats>,
@@ -327,9 +366,13 @@ pub struct GrmHandle {
 }
 
 impl GrmHandle {
-    /// Dynamic availability report (LRM -> GRM).
+    /// Dynamic availability report (LRM -> GRM). Multi-resource GRMs
+    /// drop single-lane reports uncounted, as they drop malformed multi
+    /// reports: one value cannot say which lane it describes.
     pub fn report(&self, lrm: usize, available: f64) -> Result<(), GrmError> {
-        self.tx.send(Msg::Report { lrm, available }).map_err(|_| GrmError::Disconnected)
+        self.tx
+            .send(Msg::Report { lrm, available: Reported::Single(available) })
+            .map_err(|_| GrmError::Disconnected)
     }
 
     /// Advance the GRM's logical clock for lease-based liveness: any LRM
@@ -394,7 +437,13 @@ impl GrmHandle {
     ) -> Result<Receiver<Result<Allocation, GrmError>>, GrmError> {
         let (reply, rx) = unbounded();
         self.tx
-            .send(Msg::Request { lrm, amount, req_id, enqueued: self.telemetry.start(), reply })
+            .send(Msg::Request {
+                lrm,
+                amounts: vec![amount],
+                req_id,
+                enqueued: self.telemetry.start(),
+                reply: GrantReply::Single(reply),
+            })
             .map_err(|_| GrmError::Disconnected)?;
         Ok(rx)
     }
@@ -404,7 +453,9 @@ impl GrmHandle {
     /// [`GrmHandle::availability_multi`]). Single-resource GRMs ignore
     /// multi reports, as flat GRMs ignore malformed single ones.
     pub fn report_multi(&self, lrm: usize, available: Vec<f64>) -> Result<(), GrmError> {
-        self.tx.send(Msg::ReportMulti { lrm, available }).map_err(|_| GrmError::Disconnected)
+        self.tx
+            .send(Msg::Report { lrm, available: Reported::Multi(available) })
+            .map_err(|_| GrmError::Disconnected)
     }
 
     /// Multi-resource allocation RPC: LRM `lrm` requests `amounts`
@@ -438,12 +489,12 @@ impl GrmHandle {
     ) -> Result<Receiver<Result<MultiAllocation, GrmError>>, GrmError> {
         let (reply, rx) = unbounded();
         self.tx
-            .send(Msg::RequestMulti {
+            .send(Msg::Request {
                 lrm,
                 amounts,
                 req_id,
                 enqueued: self.telemetry.start(),
-                reply,
+                reply: GrantReply::Multi(reply),
             })
             .map_err(|_| GrmError::Disconnected)?;
         Ok(rx)
@@ -454,7 +505,9 @@ impl GrmHandle {
     /// Single-resource GRMs answer [`GrmError::Unsupported`].
     pub fn availability_multi(&self) -> Result<Vec<Vec<f64>>, GrmError> {
         let (reply, rx) = unbounded();
-        self.tx.send(Msg::AvailabilityMulti { reply }).map_err(|_| GrmError::Disconnected)?;
+        self.tx
+            .send(Msg::Availability { reply: ViewReply::Multi(reply) })
+            .map_err(|_| GrmError::Disconnected)?;
         rx.recv().map_err(|_| GrmError::Disconnected)?
     }
 
@@ -576,11 +629,15 @@ impl GrmHandle {
         rx.recv().map_err(|_| GrmError::Disconnected)
     }
 
-    /// Snapshot of the GRM's current availability view.
+    /// Snapshot of the GRM's current availability view. Multi-resource
+    /// GRMs answer [`GrmError::Unsupported`]; use
+    /// [`GrmHandle::availability_multi`].
     pub fn availability(&self) -> Result<Vec<f64>, GrmError> {
         let (reply, rx) = unbounded();
-        self.tx.send(Msg::Availability { reply }).map_err(|_| GrmError::Disconnected)?;
-        rx.recv().map_err(|_| GrmError::Disconnected)
+        self.tx
+            .send(Msg::Availability { reply: ViewReply::Single(reply) })
+            .map_err(|_| GrmError::Disconnected)?;
+        rx.recv().map_err(|_| GrmError::Disconnected)?
     }
 
     /// Ask the server to exit its loop.
@@ -677,7 +734,7 @@ impl GrmServer {
     /// Spawn a GRM managing `n` LRMs under the given agreements and
     /// transitivity level, scheduling with the LP policy.
     pub fn spawn(agreements: AgreementMatrix, level: usize) -> GrmServer {
-        Self::spawn_inner(agreements, level, None, Telemetry::default())
+        Self::spawn_with_telemetry(agreements, level, Telemetry::default())
     }
 
     /// Spawn a GRM with an attached telemetry plane: the serve loop,
@@ -689,7 +746,9 @@ impl GrmServer {
         level: usize,
         telemetry: Telemetry,
     ) -> GrmServer {
-        Self::spawn_inner(agreements, level, None, telemetry)
+        Self::spawn_engine(true, None, telemetry, move |t| {
+            Engine::flat(vec![UNTAGGED], agreements, level, t)
+        })
     }
 
     /// Spawn a GRM whose *client-facing* channel passes through a fault
@@ -704,20 +763,9 @@ impl GrmServer {
         plane: &agreements_faults::FaultPlane,
         link: &str,
     ) -> GrmServer {
-        Self::spawn_inner(agreements, level, Some((plane, link)), Telemetry::default())
-    }
-
-    /// [`GrmServer::spawn_chaotic`] with a telemetry plane attached to
-    /// the server side (the fault plane's own drop/dup/hold events are
-    /// recorded by whatever telemetry the *plane* carries).
-    pub fn spawn_chaotic_with_telemetry(
-        agreements: AgreementMatrix,
-        level: usize,
-        plane: &agreements_faults::FaultPlane,
-        link: &str,
-        telemetry: Telemetry,
-    ) -> GrmServer {
-        Self::spawn_inner(agreements, level, Some((plane, link)), telemetry)
+        Self::spawn_engine(true, Some((plane, link)), Telemetry::default(), move |t| {
+            Engine::flat(vec![UNTAGGED], agreements, level, t)
+        })
     }
 
     /// Spawn a GRM whose decisions run through a [`HierarchicalScheduler`]:
@@ -741,16 +789,11 @@ impl GrmServer {
         sched: HierarchicalScheduler,
         telemetry: Telemetry,
     ) -> GrmServer {
-        let (tx, rx) = unbounded();
-        let thread_telemetry = telemetry.clone();
-        let join = std::thread::Builder::new()
-            .name("grm-server".into())
-            .spawn(move || {
-                let core = ServerCore::hierarchical(sched, thread_telemetry.clone());
-                serve_core(core, rx, thread_telemetry);
-            })
-            .expect("spawn GRM thread");
-        GrmServer { handle: GrmHandle { tx: tx.clone(), telemetry }, control: tx, join: Some(join) }
+        Self::spawn_engine(true, None, telemetry, move |t| {
+            let front = MultiAdmission::new(vec![UNTAGGED], vec![sched])
+                .expect("one lane is always a valid partition");
+            Engine::hier(front, t)
+        })
     }
 
     /// Spawn a **multi-resource** GRM: one warm LP lane per resource
@@ -760,35 +803,17 @@ impl GrmServer {
     /// [`GrmHandle::availability_multi`]; a request is granted only when
     /// every lane's LP admits it, and a capacity rejection names the
     /// binding resource. The single-resource RPCs
-    /// (`request`/`release`/`replay_grant`) and membership/agreement
-    /// mutations answer [`GrmError::Unsupported`] — the engines do not
-    /// mix inside one server.
+    /// (`request`/`report`/`availability`/`release`/`replay_grant`) and
+    /// membership/agreement mutations are refused (reports silently) —
+    /// the RPC families do not mix inside one server.
     pub fn spawn_multi(
         names: Vec<&'static str>,
         agreements: AgreementMatrix,
         level: usize,
     ) -> GrmServer {
-        Self::spawn_multi_with_telemetry(names, agreements, level, Telemetry::default())
-    }
-
-    /// [`GrmServer::spawn_multi`] with a telemetry plane attached.
-    pub fn spawn_multi_with_telemetry(
-        names: Vec<&'static str>,
-        agreements: AgreementMatrix,
-        level: usize,
-        telemetry: Telemetry,
-    ) -> GrmServer {
-        let (tx, rx) = unbounded();
-        let thread_telemetry = telemetry.clone();
-        let join = std::thread::Builder::new()
-            .name("grm-server".into())
-            .spawn(move || {
-                let core =
-                    ServerCore::multi_flat(names, agreements, level, thread_telemetry.clone());
-                serve_core(core, rx, thread_telemetry);
-            })
-            .expect("spawn GRM thread");
-        GrmServer { handle: GrmHandle { tx: tx.clone(), telemetry }, control: tx, join: Some(join) }
+        Self::spawn_engine(false, None, Telemetry::default(), move |t| {
+            Engine::flat(names, agreements, level, t)
+        })
     }
 
     /// Spawn a multi-resource GRM whose lanes are hierarchical: one
@@ -805,39 +830,33 @@ impl GrmServer {
         front: MultiAdmission,
         telemetry: Telemetry,
     ) -> GrmServer {
+        Self::spawn_engine(false, None, telemetry, move |t| Engine::hier(front, t))
+    }
+
+    /// The one spawn body: start the GRM thread, which builds its engine
+    /// with `build` and serves until shutdown. `single` makes it a
+    /// single-resource server (see [`ServerCore::single`]); `chaos`
+    /// routes the client-facing channel through a fault-plane link.
+    fn spawn_engine(
+        single: bool,
+        chaos: Option<(&agreements_faults::FaultPlane, &str)>,
+        telemetry: Telemetry,
+        build: impl FnOnce(&Telemetry) -> Engine + Send + 'static,
+    ) -> GrmServer {
         let (tx, rx) = unbounded();
         let thread_telemetry = telemetry.clone();
         let join = std::thread::Builder::new()
             .name("grm-server".into())
             .spawn(move || {
-                let core = ServerCore::multi_hierarchical(front, thread_telemetry.clone());
-                serve_core(core, rx, thread_telemetry);
+                let core = ServerCore::new(build(&thread_telemetry), single, &thread_telemetry);
+                serve(core, rx, thread_telemetry);
             })
-            .expect("spawn GRM thread");
-        GrmServer { handle: GrmHandle { tx: tx.clone(), telemetry }, control: tx, join: Some(join) }
-    }
-
-    fn spawn_inner(
-        agreements: AgreementMatrix,
-        level: usize,
-        chaos: Option<(&agreements_faults::FaultPlane, &str)>,
-        telemetry: Telemetry,
-    ) -> GrmServer {
-        let (tx, rx) = unbounded();
-        let handle_telemetry = telemetry.clone();
-        let join = std::thread::Builder::new()
-            .name("grm-server".into())
-            .spawn(move || serve(agreements, level, rx, telemetry))
             .expect("spawn GRM thread");
         let client_tx = match chaos {
             Some((plane, link)) => plane.wrap(link, tx.clone()),
             None => tx.clone(),
         };
-        GrmServer {
-            handle: GrmHandle { tx: client_tx, telemetry: handle_telemetry },
-            control: tx,
-            join: Some(join),
-        }
+        GrmServer { handle: GrmHandle { tx: client_tx, telemetry }, control: tx, join: Some(join) }
     }
 
     /// Client handle.
@@ -873,94 +892,106 @@ impl Drop for GrmServer {
     }
 }
 
-/// What the server remembers about an already-decided idempotent call.
-enum CachedReply {
-    Grant(Result<Allocation, GrmError>),
-    GrantMulti(Result<MultiAllocation, GrmError>),
-    Release(Result<(), GrmError>),
-    Replay(Result<(), GrmError>),
-}
+/// The name of a single-resource server's one lane. It never leaves the
+/// core: rejections there carry `resource: None`.
+const UNTAGGED: &str = "";
 
-impl From<RecordedDecision> for CachedReply {
-    fn from(d: RecordedDecision) -> Self {
-        match d {
-            RecordedDecision::Grant(r) => CachedReply::Grant(r),
-            RecordedDecision::GrantMulti(r) => CachedReply::GrantMulti(r),
-            RecordedDecision::Release(r) => CachedReply::Release(r),
-            RecordedDecision::Replay(r) => CachedReply::Replay(r),
-        }
-    }
-}
-
-/// The multi-resource decision engine, mirroring the single-resource
-/// engine split (flat LP vs hierarchical scheduler) one level up.
-/// Exactly one engine family is live per server: a multi core's flat
-/// `state`/`policy` machinery is retained only for the shared
-/// lease/clock plumbing and is never consulted for a decision.
-enum MultiEngine {
-    /// One warm LP lane per resource over a shared agreement economy.
+/// The decision engine: `rk` resource lanes over one set of principals,
+/// a request granted only when every lane admits it (the paper's §3.2
+/// conjunction rule). A single-resource server is the rk = 1 case.
+enum Engine {
+    /// Flat LP lanes over one agreement economy.
     Flat {
-        /// Per-lane persistent state: each shares the core's flow
-        /// snapshot but owns its availability vector.
-        states: Vec<SystemState>,
+        /// Boxed: the flow maintainer is much larger than the `Hier`
+        /// variant, and there is one engine per server.
+        incflow: Box<IncrementalFlow>,
+        /// Per-lane persistent request state: every lane shares the
+        /// flow snapshot `Arc` and owns its availability vector.
+        lanes: Vec<SystemState>,
+        /// One cached reduced-form solver per lane. Warm starting stays
+        /// off: every grant must be bit-identical to the stateless LP
+        /// policy, which is what the adapter tests assert.
         solver: MultiSolver,
         /// Fast-reject bound scratch.
         bound: Vec<f64>,
     },
-    /// One hierarchical scheduler per resource behind [`MultiAdmission`].
+    /// One hierarchical scheduler per lane behind [`MultiAdmission`].
     Hier {
         front: MultiAdmission,
-        /// Per-lane availability (outer = resource, inner = principal).
-        avail: Vec<Vec<f64>>,
+        /// Per-lane availability (outer = lane, inner = principal).
+        lanes: Vec<Vec<f64>>,
     },
 }
 
-impl MultiEngine {
-    fn num_resources(&self) -> usize {
+impl Engine {
+    /// Flat lanes named `names` over `agreements`, all starting empty.
+    fn flat(
+        names: Vec<&'static str>,
+        agreements: AgreementMatrix,
+        level: usize,
+        telemetry: &Telemetry,
+    ) -> Engine {
+        let n = agreements.n();
+        let mut incflow = Box::new(IncrementalFlow::new(agreements, level));
+        incflow.set_telemetry(telemetry.clone());
+        let lanes = names
+            .iter()
+            .map(|_| SystemState {
+                flow: incflow.snapshot(),
+                absolute: None,
+                availability: vec![0.0; n],
+            })
+            .collect();
+        let mut solver = MultiSolver::reduced(names);
+        solver.set_telemetry(telemetry.clone());
+        Engine::Flat { incflow, lanes, solver, bound: Vec::new() }
+    }
+
+    /// Hierarchical lanes over a prebuilt [`MultiAdmission`] (the lanes
+    /// share one partition by construction), all starting empty.
+    fn hier(mut front: MultiAdmission, telemetry: &Telemetry) -> Engine {
+        front.set_telemetry(telemetry.clone());
+        let lanes = vec![vec![0.0; front.num_principals()]; front.num_resources()];
+        Engine::Hier { front, lanes }
+    }
+
+    /// Number of principals.
+    fn n(&self) -> usize {
         match self {
-            MultiEngine::Flat { states, .. } => states.len(),
-            MultiEngine::Hier { front, .. } => front.num_resources(),
+            Engine::Flat { incflow, .. } => incflow.n(),
+            Engine::Hier { front, .. } => front.num_principals(),
         }
     }
 
-    /// Write one LRM's per-lane availability (validated by the caller).
-    fn set_availability(&mut self, lrm: usize, available: &[f64]) {
+    /// Number of resource lanes.
+    fn rk(&self) -> usize {
         match self {
-            MultiEngine::Flat { states, .. } => {
-                for (st, &v) in states.iter_mut().zip(available) {
-                    st.availability[lrm] = v;
-                }
-            }
-            MultiEngine::Hier { avail, .. } => {
-                for (lane, &v) in avail.iter_mut().zip(available) {
-                    lane[lrm] = v;
-                }
-            }
+            Engine::Flat { lanes, .. } => lanes.len(),
+            Engine::Hier { lanes, .. } => lanes.len(),
         }
     }
 
-    /// Zero one LRM's availability in every lane (lease expiry).
-    fn zero_principal(&mut self, lrm: usize) {
+    /// Lane `r`'s availability view.
+    fn view(&self, r: usize) -> &Vec<f64> {
         match self {
-            MultiEngine::Flat { states, .. } => {
-                for st in states.iter_mut() {
-                    st.availability[lrm] = 0.0;
-                }
-            }
-            MultiEngine::Hier { avail, .. } => {
-                for lane in avail.iter_mut() {
-                    lane[lrm] = 0.0;
-                }
-            }
+            Engine::Flat { lanes, .. } => &lanes[r].availability,
+            Engine::Hier { lanes, .. } => &lanes[r],
         }
     }
 
-    fn availability(&self) -> Vec<Vec<f64>> {
+    fn view_mut(&mut self, r: usize) -> &mut Vec<f64> {
         match self {
-            MultiEngine::Flat { states, .. } => {
-                states.iter().map(|st| st.availability.clone()).collect()
-            }
-            MultiEngine::Hier { avail, .. } => avail.clone(),
+            Engine::Flat { lanes, .. } => &mut lanes[r].availability,
+            Engine::Hier { lanes, .. } => &mut lanes[r],
+        }
+    }
+
+    /// Republish the flow snapshot into every lane after a mutation.
+    /// Requests issued before the next mutation all share the new `Arc`.
+    fn refresh_flow(incflow: &mut IncrementalFlow, lanes: &mut [SystemState]) {
+        let snapshot = incflow.snapshot();
+        for st in lanes {
+            st.flow = snapshot.clone();
         }
     }
 }
@@ -968,17 +999,17 @@ impl MultiEngine {
 /// Bounded id → decision memory (recency-ordered eviction).
 #[derive(Default)]
 struct DedupWindow {
-    decisions: HashMap<RequestId, CachedReply>,
+    decisions: HashMap<RequestId, RecordedDecision>,
     order: VecDeque<RequestId>,
 }
 
 impl DedupWindow {
-    fn get(&self, id: &RequestId) -> Option<&CachedReply> {
+    fn get(&self, id: &RequestId) -> Option<&RecordedDecision> {
         self.decisions.get(id)
     }
 
-    fn insert(&mut self, id: RequestId, reply: CachedReply) {
-        if self.decisions.insert(id, reply).is_some() {
+    fn insert(&mut self, id: RequestId, decision: RecordedDecision) {
+        if self.decisions.insert(id, decision).is_some() {
             // Re-deciding an id refreshes its recency: without moving it
             // to the back of `order`, the stale front position would get
             // the *newest* decision evicted first once the window fills.
@@ -1009,33 +1040,28 @@ impl DedupWindow {
 ///   of the flow table through [`IncrementalFlow`] (join/leave still
 ///   full-recompute); the repaired table is bit-identical to a full
 ///   recompute by construction.
-/// - **Zero-clone requests**: the [`SystemState`] is persistent — the
-///   flow snapshot is shared by `Arc` and the availability vector *is*
-///   the server's live view, so a request allocates nothing beyond the
-///   returned draw vector, and the solver's skeleton check is one
-///   pointer compare.
-/// - **Capacity fast-reject**: a request exceeding the reachable
-///   capacity is rejected from the same admission arithmetic the solver
-///   would run (same bounds, same summation order, same `1e-9` slack),
-///   skipping LP construction entirely. Because the arithmetic is
-///   replicated exactly, the decision and the error payload are the
-///   ones the solver would have produced.
+/// - **Zero-clone requests**: each flat lane's [`SystemState`] is
+///   persistent — the flow snapshot is shared by `Arc` and the
+///   availability vector *is* the server's live view, so a request
+///   allocates nothing beyond the returned draw vectors, and the
+///   solver's skeleton check is one pointer compare.
+/// - **Capacity fast-reject**: a flat request exceeding some lane's
+///   reachable capacity is rejected from the same admission arithmetic
+///   the solver would run (same bounds, same summation order, same
+///   `1e-9` slack), skipping LP construction entirely. Because the
+///   arithmetic is replicated exactly, the decision and the error
+///   payload are the ones the solver would have produced.
 struct ServerCore {
-    incflow: IncrementalFlow,
-    /// Persistent request state: shared flow snapshot + live
-    /// availability (`absolute` stays `None` for the centralized GRM).
-    state: SystemState,
+    engine: Engine,
+    /// A single-resource server: the engine's one lane is untagged, the
+    /// single-resource RPC family is the data path, and the
+    /// multi-resource family is refused (and vice versa when `false`).
+    single: bool,
     /// Logical-clock liveness: last report time per LRM.
     last_report: Vec<u64>,
     clock: u64,
     stats: GrmStats,
     dedup: DedupWindow,
-    /// Persistent solver (cached skeleton + workspace). Warm starting
-    /// stays off: every grant must be bit-identical to the stateless LP
-    /// policy, which is what the adapter tests assert.
-    policy: AllocationSolver,
-    /// Fast-reject bound scratch.
-    bound: Vec<f64>,
     /// Report-run coalescing: `run_stamp[lrm] == run_gen` marks an LRM
     /// already written during the current contiguous run of `Report`s.
     run_stamp: Vec<u64>,
@@ -1048,117 +1074,44 @@ struct ServerCore {
     /// Telemetry handle; `Telemetry::default()` (disabled) costs one
     /// branch per call site and keeps the server bit-identical.
     telemetry: Telemetry,
-    /// The hierarchical scheduler. `Some` switches the decision engine:
-    /// requests route through [`HierarchicalScheduler::allocate`]
-    /// instead of the flat LP policy, whose `incflow`/`policy`/
-    /// fast-reject machinery then goes unused for decisions.
-    hier: Option<HierarchicalScheduler>,
-    /// The multi-resource decision engine. `Some` makes this a
-    /// multi-resource server: `RequestMulti`/`ReportMulti` are the data
-    /// path and the single-resource RPCs answer `Unsupported`.
-    multi: Option<MultiEngine>,
 }
 
 impl ServerCore {
-    #[cfg(test)]
-    fn new(agreements: AgreementMatrix, level: usize) -> ServerCore {
-        Self::with_telemetry(agreements, level, Telemetry::default())
-    }
-
-    fn with_telemetry(
-        agreements: AgreementMatrix,
-        level: usize,
-        telemetry: Telemetry,
-    ) -> ServerCore {
-        let n = agreements.n();
-        let mut incflow = IncrementalFlow::new(agreements, level);
-        incflow.set_telemetry(telemetry.clone());
-        let state =
-            SystemState { flow: incflow.snapshot(), absolute: None, availability: vec![0.0; n] };
-        let mut policy = AllocationSolver::reduced();
-        policy.set_telemetry(telemetry.clone());
+    fn new(engine: Engine, single: bool, telemetry: &Telemetry) -> ServerCore {
+        let n = engine.n();
         ServerCore {
-            incflow,
-            state,
+            engine,
+            single,
             last_report: vec![0; n],
             clock: 0,
             stats: GrmStats::default(),
             dedup: DedupWindow::default(),
-            policy,
-            bound: Vec::new(),
             run_stamp: vec![0; n],
             run_gen: 0,
             granted_units: KahanSum::default(),
             fulfil_shortfall_units: KahanSum::default(),
             journaled_units: KahanSum::default(),
-            telemetry,
-            hier: None,
-            multi: None,
+            telemetry: telemetry.clone(),
         }
-    }
-
-    /// A core whose decisions run through a hierarchical scheduler. The
-    /// flat incremental-flow table is kept (over an empty
-    /// agreement matrix) purely so the availability/lease machinery and
-    /// the state snapshot stay the single code path they are on a flat
-    /// core; it is never consulted for a decision.
-    fn hierarchical(mut sched: HierarchicalScheduler, telemetry: Telemetry) -> ServerCore {
-        let n = sched.num_principals();
-        sched.set_telemetry(telemetry.clone());
-        let mut core = Self::with_telemetry(AgreementMatrix::zeros(n), 1, telemetry);
-        core.hier = Some(sched);
-        core
-    }
-
-    /// A flat multi-resource core: one warm LP lane per resource name,
-    /// every lane's [`SystemState`] sharing the core's flow snapshot
-    /// over the given economy. The core's own `state`/`policy` stay (the
-    /// lease machinery and snapshot plumbing are one code path) but are
-    /// never consulted for a decision.
-    fn multi_flat(
-        names: Vec<&'static str>,
-        agreements: AgreementMatrix,
-        level: usize,
-        telemetry: Telemetry,
-    ) -> ServerCore {
-        let n = agreements.n();
-        let mut core = Self::with_telemetry(agreements, level, telemetry.clone());
-        let states = (0..names.len())
-            .map(|_| SystemState {
-                flow: core.incflow.snapshot(),
-                absolute: None,
-                availability: vec![0.0; n],
-            })
-            .collect();
-        let mut solver = MultiSolver::reduced(names);
-        solver.set_telemetry(telemetry);
-        core.multi = Some(MultiEngine::Flat { states, solver, bound: Vec::new() });
-        core
-    }
-
-    /// A hierarchical multi-resource core over a prebuilt
-    /// [`MultiAdmission`] (the lanes share one partition by
-    /// construction).
-    fn multi_hierarchical(mut front: MultiAdmission, telemetry: Telemetry) -> ServerCore {
-        let n = front.num_principals();
-        let rk = front.num_resources();
-        front.set_telemetry(telemetry.clone());
-        let mut core = Self::with_telemetry(AgreementMatrix::zeros(n), 1, telemetry);
-        core.multi = Some(MultiEngine::Hier { front, avail: vec![vec![0.0; n]; rk] });
-        core
-    }
-
-    /// Republish the flow snapshot after a mutation. Requests issued
-    /// before the next mutation all share the new `Arc`.
-    fn refresh_flow(&mut self) {
-        self.state.flow = self.incflow.snapshot();
     }
 
     /// Apply one availability report. Each call site owns the run
     /// bookkeeping: `run_gen` must be bumped at the start of a run (a
-    /// lone report is a run of one).
-    fn apply_report(&mut self, lrm: usize, available: f64) {
-        if lrm < self.state.n() && available.is_finite() && available >= 0.0 {
+    /// lone report is a run of one). All lanes of one LRM move together
+    /// (a torn report — some lanes fresh, some stale — would let a
+    /// request be judged against a view no report ever described).
+    /// Malformed reports, and reports from the other RPC family than
+    /// the server's, are dropped uncounted.
+    fn apply_report(&mut self, lrm: usize, available: &Reported) {
+        let lanes = match (available, self.single) {
+            (Reported::Single(v), true) => std::slice::from_ref(v),
+            (Reported::Multi(v), false) => v.as_slice(),
+            _ => return,
+        };
+        if lrm < self.engine.n()
+            && lanes.len() == self.engine.rk()
+            && lanes.iter().all(|v| v.is_finite() && *v >= 0.0)
+        {
             if self.run_stamp[lrm] == self.run_gen {
                 // A previous report in this same wakeup run is
                 // superseded; its write was wasted, not wrong —
@@ -1167,26 +1120,9 @@ impl ServerCore {
             } else {
                 self.run_stamp[lrm] = self.run_gen;
             }
-            self.state.availability[lrm] = available;
-            self.last_report[lrm] = self.clock;
-            self.stats.reports += 1;
-        }
-    }
-
-    /// Apply one multi-resource availability report: all lanes of one
-    /// LRM move together (a torn report — some lanes fresh, some stale —
-    /// would let a request be judged against a view no report ever
-    /// described). Malformed reports are dropped, as on the flat path;
-    /// multi reports are not run-coalesced (they are rare relative to
-    /// request traffic).
-    fn apply_report_multi(&mut self, lrm: usize, available: &[f64]) {
-        let n = self.state.n();
-        let Some(multi) = self.multi.as_mut() else { return };
-        if lrm < n
-            && available.len() == multi.num_resources()
-            && available.iter().all(|v| v.is_finite() && *v >= 0.0)
-        {
-            multi.set_availability(lrm, available);
+            for (r, &v) in lanes.iter().enumerate() {
+                self.engine.view_mut(r)[lrm] = v;
+            }
             self.last_report[lrm] = self.clock;
             self.stats.reports += 1;
         }
@@ -1194,14 +1130,13 @@ impl ServerCore {
 
     fn apply_tick(&mut self, now: u64, lease: u64) {
         self.clock = self.clock.max(now);
-        for i in 0..self.state.n() {
+        for i in 0..self.engine.n() {
             if self.clock.saturating_sub(self.last_report[i]) > lease {
-                self.state.availability[i] = 0.0;
                 // A lease-expired LRM vanishes from every resource lane
                 // at once — scheduling any lane against a dead LRM is as
                 // wrong as scheduling the only one.
-                if let Some(multi) = self.multi.as_mut() {
-                    multi.zero_principal(i);
+                for r in 0..self.engine.rk() {
+                    self.engine.view_mut(r)[i] = 0.0;
                 }
             }
         }
@@ -1214,116 +1149,30 @@ impl ServerCore {
         stats.granted_units = self.granted_units.total();
         stats.fulfil_shortfall_units = self.fulfil_shortfall_units.total();
         stats.journaled_units = self.journaled_units.total();
-        stats.flow_rows_recomputed = self.incflow.rows_recomputed() as u64;
+        if let Engine::Flat { incflow, .. } = &self.engine {
+            stats.flow_rows_recomputed = incflow.rows_recomputed() as u64;
+        }
         stats
     }
 
-    /// Decide an in-range request on the hierarchical engine and commit
-    /// the draws into the view. Errors leave the view untouched.
-    fn decide_hier(&mut self, lrm: usize, amount: f64) -> Result<Allocation, GrmError> {
-        let sched = self.hier.as_ref().expect("hierarchical engine");
-        match sched.allocate(&self.state.availability, lrm, amount) {
-            Ok(alloc) => {
-                for (v, d) in self.state.availability.iter_mut().zip(&alloc.draws) {
-                    *v = (*v - d).max(0.0);
-                }
-                self.stats.granted += 1;
-                self.granted_units.add(alloc.amount);
-                self.telemetry.add("grm.granted", 1);
-                self.telemetry.record_with(|| TelemetryEvent::Granted {
-                    requester: lrm,
-                    amount: alloc.amount,
-                    theta: alloc.theta,
-                    draws: alloc.draws.clone(),
-                });
-                Ok(alloc)
-            }
-            Err(e) => {
-                if matches!(e, SchedError::InsufficientCapacity { .. }) {
-                    self.stats.rejected_capacity += 1;
-                }
-                Err(GrmError::Sched(e))
-            }
-        }
-    }
-
-    /// Decide an in-range allocation request against the current state.
-    fn decide(&mut self, lrm: usize, amount: f64) -> Result<Allocation, GrmError> {
-        // The persistent view replaces the per-request
-        // `SystemState::new` validation; a poisoned availability (e.g.
-        // a release with non-finite draws) must keep failing requests
-        // exactly as construction used to.
-        if let Some(bad) =
-            self.state.availability.iter().copied().find(|v| !v.is_finite() || *v < 0.0)
-        {
-            return Err(GrmError::Sched(SchedError::InvalidRequest { amount: bad }));
-        }
-        // Capacity fast-reject: [`admission_bound`] is the *same
-        // function* the solver runs — one definition, one summation
-        // order, one slack constant — evaluated here without building
-        // the LP. Only definite rejections short-cut; everything else
-        // (including `amount == 0` and invalid amounts, which the
-        // solver answers first) falls through unchanged.
-        if amount.is_finite() && amount > 0.0 {
-            let reachable = admission_bound(&self.state, lrm, &mut self.bound);
-            if exceeds_bound(amount, reachable) {
-                self.stats.fast_rejects += 1;
-                self.stats.rejected_capacity += 1;
-                self.telemetry.add("grm.fast_rejects", 1);
-                self.telemetry.record_with(|| TelemetryEvent::FastReject {
-                    requester: lrm,
-                    requested: amount,
-                    bound: reachable,
-                    clamped: false,
-                });
-                return Err(GrmError::Sched(SchedError::InsufficientCapacity {
-                    requester: lrm,
-                    capacity: reachable,
-                    requested: amount,
-                    resource: None,
-                }));
-            }
-        }
-        match self.policy.allocate(&self.state, lrm, amount) {
-            Ok(alloc) => {
-                // Commit: deduct the draws from the view.
-                for (v, d) in self.state.availability.iter_mut().zip(&alloc.draws) {
-                    *v = (*v - d).max(0.0);
-                }
-                self.stats.granted += 1;
-                self.granted_units.add(alloc.amount);
-                self.telemetry.add("grm.granted", 1);
-                self.telemetry.record_with(|| TelemetryEvent::Granted {
-                    requester: lrm,
-                    amount: alloc.amount,
-                    theta: alloc.theta,
-                    draws: alloc.draws.clone(),
-                });
-                Ok(alloc)
-            }
-            Err(e) => {
-                if matches!(e, SchedError::InsufficientCapacity { .. }) {
-                    self.stats.rejected_capacity += 1;
-                }
-                Err(GrmError::Sched(e))
-            }
-        }
-    }
-
-    /// Decide an in-range multi-resource request. Flat engine: the
-    /// poisoned-availability and capacity fast-reject guards mirror
-    /// [`ServerCore::decide`] lane by lane — the fast reject runs only
-    /// when every amount is valid (an invalid amount must surface as the
-    /// lane-ordered validation error the solver would report, not as a
-    /// later lane's capacity verdict) and produces exactly the tagged
-    /// error the solver's own lane-order evaluation would. Hierarchical
-    /// engine: [`MultiAdmission::admit_one`] carries its own guards.
-    /// Either way the grant commits every lane or none.
-    fn decide_multi(&mut self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError> {
-        let multi = self.multi.as_mut().expect("multi engine");
-        let res = match multi {
-            MultiEngine::Flat { states, solver, bound } => {
-                if let Some(bad) = states
+    /// Decide an in-range request (one amount per lane) and commit the
+    /// draws into every lane's view; errors leave the views untouched.
+    ///
+    /// The flat engine first runs two guards. A poisoned view (e.g. a
+    /// release with non-finite draws) keeps failing requests exactly as
+    /// per-request `SystemState::new` validation used to. The capacity
+    /// fast reject evaluates [`first_binding_resource`] — the *same*
+    /// admission arithmetic the solver runs — without building an LP,
+    /// only when every amount is valid (an invalid amount must surface
+    /// as the lane-ordered validation error the solver reports), and
+    /// produces exactly the error the solver's lane-order evaluation
+    /// would. The hierarchical engine's [`MultiAdmission::admit_one`]
+    /// carries its own guards. Either way the grant commits every lane
+    /// or none.
+    fn decide(&mut self, lrm: usize, amounts: &[f64]) -> Result<MultiAllocation, GrmError> {
+        let res = match &mut self.engine {
+            Engine::Flat { lanes, solver, bound, .. } => {
+                if let Some(bad) = lanes
                     .iter()
                     .flat_map(|st| st.availability.iter())
                     .copied()
@@ -1331,49 +1180,61 @@ impl ServerCore {
                 {
                     return Err(GrmError::Sched(SchedError::InvalidRequest { amount: bad }));
                 }
-                if amounts.len() == states.len()
+                let fast = if amounts.len() == lanes.len()
                     && amounts.iter().all(|a| a.is_finite() && *a >= 0.0)
                 {
-                    if let Some((lane, reachable)) =
-                        first_binding_resource(states, lrm, amounts, bound)
-                    {
-                        self.stats.fast_rejects += 1;
-                        self.stats.rejected_capacity += 1;
-                        self.telemetry.add("grm.fast_rejects", 1);
-                        self.telemetry.record_with(|| TelemetryEvent::FastReject {
-                            requester: lrm,
-                            requested: amounts[lane],
-                            bound: reachable,
-                            clamped: false,
-                        });
-                        return Err(GrmError::Sched(SchedError::InsufficientCapacity {
-                            requester: lrm,
-                            capacity: reachable,
-                            requested: amounts[lane],
-                            resource: Some(solver.names()[lane]),
-                        }));
-                    }
-                }
-                solver.allocate(states, lrm, amounts).inspect(|alloc| {
-                    for (st, lane) in states.iter_mut().zip(&alloc.lanes) {
-                        for (v, d) in st.availability.iter_mut().zip(&lane.draws) {
-                            *v = (*v - d).max(0.0);
+                    first_binding_resource(lanes, lrm, amounts, bound)
+                } else {
+                    None
+                };
+                if let Some((lane, reachable)) = fast {
+                    self.stats.fast_rejects += 1;
+                    self.telemetry.add("grm.fast_rejects", 1);
+                    self.telemetry.record_with(|| TelemetryEvent::FastReject {
+                        requester: lrm,
+                        requested: amounts[lane],
+                        bound: reachable,
+                        clamped: false,
+                    });
+                    Err(SchedError::InsufficientCapacity {
+                        requester: lrm,
+                        capacity: reachable,
+                        requested: amounts[lane],
+                        resource: Some(solver.names()[lane]),
+                    })
+                } else {
+                    solver.allocate(lanes, lrm, amounts).inspect(|alloc| {
+                        for (st, lane) in lanes.iter_mut().zip(&alloc.lanes) {
+                            for (v, d) in st.availability.iter_mut().zip(&lane.draws) {
+                                *v = (*v - d).max(0.0);
+                            }
                         }
-                    }
-                })
+                    })
+                }
             }
-            MultiEngine::Hier { front, avail } => front.admit_one(avail, lrm, amounts),
+            Engine::Hier { front, lanes } => front.admit_one(lanes, lrm, amounts),
         };
         match res {
             Ok(alloc) => {
                 self.stats.granted += 1;
                 self.granted_units.add(alloc.total());
                 self.telemetry.add("grm.granted", 1);
+                for lane in &alloc.lanes {
+                    self.telemetry.record_with(|| TelemetryEvent::Granted {
+                        requester: lrm,
+                        amount: lane.amount,
+                        theta: lane.theta,
+                        draws: lane.draws.clone(),
+                    });
+                }
                 Ok(alloc)
             }
-            Err(e) => {
-                if matches!(e, SchedError::InsufficientCapacity { .. }) {
+            Err(mut e) => {
+                if let SchedError::InsufficientCapacity { resource, .. } = &mut e {
                     self.stats.rejected_capacity += 1;
+                    if self.single {
+                        *resource = None;
+                    }
                 }
                 Err(GrmError::Sched(e))
             }
@@ -1382,153 +1243,119 @@ impl ServerCore {
 
     /// Handle one message. Returns `false` on `Shutdown`.
     fn handle(&mut self, msg: Msg) -> bool {
-        let n = self.state.n();
+        let n = self.engine.n();
         match msg {
             Msg::Report { lrm, available } => {
                 self.run_gen += 1;
-                self.apply_report(lrm, available);
+                self.apply_report(lrm, &available);
             }
             Msg::Tick { now, lease } => {
                 self.apply_tick(now, lease);
             }
             Msg::Join { reply } => {
-                // The hierarchical partition (and a multi engine's lane
-                // dimensions) are fixed at construction.
-                let res = if self.hier.is_some() {
-                    Err(GrmError::Unsupported("join on a hierarchical GRM (fixed partition)"))
-                } else if self.multi.is_some() {
-                    Err(GrmError::Unsupported("join on a multi-resource GRM (fixed membership)"))
-                } else {
-                    let newcomer = self.incflow.grow();
-                    self.state.availability.push(0.0);
-                    // The newcomer's lease starts at the current clock: a
-                    // join after the clock has advanced must not be born
-                    // lease-expired.
-                    self.last_report.push(self.clock);
-                    self.run_stamp.push(0);
-                    self.refresh_flow();
-                    Ok(newcomer)
+                // The hierarchical partition and a multi-resource
+                // server's lanes are fixed at construction.
+                let res = match &mut self.engine {
+                    _ if !self.single => Err(GrmError::Unsupported(
+                        "join on a multi-resource GRM (fixed membership)",
+                    )),
+                    Engine::Hier { .. } => {
+                        Err(GrmError::Unsupported("join on a hierarchical GRM (fixed partition)"))
+                    }
+                    Engine::Flat { incflow, lanes, .. } => {
+                        let newcomer = incflow.grow();
+                        for st in lanes.iter_mut() {
+                            st.availability.push(0.0);
+                        }
+                        // The newcomer's lease starts at the current
+                        // clock: a join after the clock has advanced
+                        // must not be born lease-expired.
+                        self.last_report.push(self.clock);
+                        self.run_stamp.push(0);
+                        Engine::refresh_flow(incflow, lanes);
+                        Ok(newcomer)
+                    }
                 };
                 let _ = reply.send(res);
             }
             Msg::Leave { lrm, reply } => {
-                let res = if self.hier.is_some() {
-                    Err(GrmError::Unsupported("leave on a hierarchical GRM (fixed partition)"))
-                } else if self.multi.is_some() {
-                    Err(GrmError::Unsupported("leave on a multi-resource GRM (fixed membership)"))
-                } else if lrm < n {
-                    self.incflow.isolate(lrm).map_err(GrmError::Flow).map(|()| {
-                        self.state.availability[lrm] = 0.0;
-                        self.refresh_flow();
-                    })
-                } else {
-                    Err(GrmError::UnknownLrm(lrm))
+                let res = match &mut self.engine {
+                    _ if !self.single => Err(GrmError::Unsupported(
+                        "leave on a multi-resource GRM (fixed membership)",
+                    )),
+                    Engine::Hier { .. } => {
+                        Err(GrmError::Unsupported("leave on a hierarchical GRM (fixed partition)"))
+                    }
+                    Engine::Flat { incflow, lanes, .. } if lrm < n => {
+                        incflow.isolate(lrm).map_err(GrmError::Flow).map(|()| {
+                            for st in lanes.iter_mut() {
+                                st.availability[lrm] = 0.0;
+                            }
+                            Engine::refresh_flow(incflow, lanes);
+                        })
+                    }
+                    Engine::Flat { .. } => Err(GrmError::UnknownLrm(lrm)),
                 };
                 let _ = reply.send(res);
             }
-            Msg::Request { lrm, amount, req_id, enqueued, reply } => {
+            Msg::Request { lrm, amounts, req_id, enqueued, reply } => {
                 // The queue wait ends the moment processing begins —
                 // before the dedup check, which is itself server work.
                 self.telemetry.stop(HistKind::QueueWaitSeconds, enqueued);
-                if let Some(id) = req_id {
-                    if let Some(cached) = self.dedup.get(&id) {
-                        self.stats.duplicate_requests += 1;
-                        let res = match cached {
-                            CachedReply::Grant(r) => r.clone(),
-                            // An id reused across call kinds is a client
-                            // bug; fail the request rather than grant.
-                            _ => Err(GrmError::Sched(SchedError::InvalidRequest { amount })),
-                        };
-                        let _ = reply.send(res);
-                        return true;
+                if let Some(cached) = req_id.and_then(|id| self.dedup.get(&id)) {
+                    self.stats.duplicate_requests += 1;
+                    match (reply, cached) {
+                        (GrantReply::Single(tx), RecordedDecision::Grant(r)) => {
+                            let _ = tx.send(r.clone());
+                        }
+                        (GrantReply::Multi(tx), RecordedDecision::GrantMulti(r)) => {
+                            let _ = tx.send(r.clone());
+                        }
+                        // An id reused across call kinds is a client
+                        // bug; fail the request rather than grant.
+                        (reply, _) => {
+                            let amount = amounts.first().copied().unwrap_or(f64::NAN);
+                            reply.send(
+                                Err(GrmError::Sched(SchedError::InvalidRequest { amount })),
+                                false,
+                            );
+                        }
                     }
+                    return true;
                 }
                 self.stats.requests += 1;
                 self.telemetry.add("grm.requests", 1);
                 let span = self.telemetry.start();
-                let res = if self.multi.is_some() {
-                    Err(GrmError::Unsupported(
+                let res = match (&reply, self.single) {
+                    (GrantReply::Single(_), false) => Err(GrmError::Unsupported(
                         "single-resource request on a multi-resource GRM; use request_multi",
-                    ))
-                } else if lrm >= n {
-                    Err(GrmError::UnknownLrm(lrm))
-                } else if self.hier.is_some() {
-                    self.decide_hier(lrm, amount)
-                } else {
-                    self.decide(lrm, amount)
+                    )),
+                    (GrantReply::Multi(_), true) => Err(GrmError::Unsupported(
+                        "multi-resource request on a single-resource GRM",
+                    )),
+                    _ if lrm >= n => Err(GrmError::UnknownLrm(lrm)),
+                    _ => self.decide(lrm, &amounts),
                 };
                 self.telemetry.stop(HistKind::RequestLatencySeconds, span);
-                if let Some(id) = req_id {
-                    self.dedup.insert(id, CachedReply::Grant(res.clone()));
+                if let (Some(id), Some(decision)) = (req_id, reply.send(res, req_id.is_some())) {
+                    self.dedup.insert(id, decision);
                 }
-                let _ = reply.send(res);
-            }
-            Msg::RequestMulti { lrm, amounts, req_id, enqueued, reply } => {
-                self.telemetry.stop(HistKind::QueueWaitSeconds, enqueued);
-                if let Some(id) = req_id {
-                    if let Some(cached) = self.dedup.get(&id) {
-                        self.stats.duplicate_requests += 1;
-                        let res = match cached {
-                            CachedReply::GrantMulti(r) => r.clone(),
-                            // An id reused across call kinds is a client
-                            // bug; fail the request rather than grant.
-                            _ => Err(GrmError::Sched(SchedError::InvalidRequest {
-                                amount: amounts.first().copied().unwrap_or(f64::NAN),
-                            })),
-                        };
-                        let _ = reply.send(res);
-                        return true;
-                    }
-                }
-                self.stats.requests += 1;
-                self.telemetry.add("grm.requests", 1);
-                let span = self.telemetry.start();
-                let res = if self.multi.is_none() {
-                    Err(GrmError::Unsupported("multi-resource request on a single-resource GRM"))
-                } else if lrm >= n {
-                    Err(GrmError::UnknownLrm(lrm))
-                } else {
-                    self.decide_multi(lrm, &amounts)
-                };
-                self.telemetry.stop(HistKind::RequestLatencySeconds, span);
-                if let Some(id) = req_id {
-                    self.dedup.insert(id, CachedReply::GrantMulti(res.clone()));
-                }
-                let _ = reply.send(res);
-            }
-            Msg::ReportMulti { lrm, available } => {
-                self.apply_report_multi(lrm, &available);
-            }
-            Msg::AvailabilityMulti { reply } => {
-                let res = match &self.multi {
-                    Some(engine) => Ok(engine.availability()),
-                    None => {
-                        Err(GrmError::Unsupported("availability_multi on a single-resource GRM"))
-                    }
-                };
-                let _ = reply.send(res);
             }
             Msg::Release { alloc, req_id, reply } => {
-                if let Some(id) = req_id {
-                    if let Some(cached) = self.dedup.get(&id) {
-                        self.stats.duplicate_requests += 1;
-                        let res = match cached {
-                            CachedReply::Release(r) => r.clone(),
-                            CachedReply::Grant(_)
-                            | CachedReply::GrantMulti(_)
-                            | CachedReply::Replay(_) => {
-                                Err(GrmError::Sched(SchedError::InvalidRequest {
-                                    amount: alloc.amount,
-                                }))
-                            }
-                        };
-                        let _ = reply.send(res);
-                        return true;
-                    }
+                if let Some(cached) = req_id.and_then(|id| self.dedup.get(&id)) {
+                    self.stats.duplicate_requests += 1;
+                    let res = match cached {
+                        RecordedDecision::Release(r) => r.clone(),
+                        _ => Err(GrmError::Sched(SchedError::InvalidRequest {
+                            amount: alloc.amount,
+                        })),
+                    };
+                    let _ = reply.send(res);
+                    return true;
                 }
-                let res = if self.multi.is_some() {
+                let res = if !self.single {
                     // A single-lane release cannot say which lane to
-                    // credit; multi engines are grant-only for now.
+                    // credit; multi-resource servers are grant-only.
                     Err(GrmError::Unsupported("release on a multi-resource GRM"))
                 } else if alloc.draws.len() != n {
                     Err(GrmError::Sched(SchedError::DimensionMismatch {
@@ -1536,13 +1363,13 @@ impl ServerCore {
                         got: alloc.draws.len(),
                     }))
                 } else {
-                    for (v, d) in self.state.availability.iter_mut().zip(&alloc.draws) {
+                    for (v, d) in self.engine.view_mut(0).iter_mut().zip(&alloc.draws) {
                         *v += d;
                     }
                     Ok(())
                 };
                 if let Some(id) = req_id {
-                    self.dedup.insert(id, CachedReply::Release(res.clone()));
+                    self.dedup.insert(id, RecordedDecision::Release(res.clone()));
                 }
                 let _ = reply.send(res);
             }
@@ -1550,22 +1377,20 @@ impl ServerCore {
                 if let Some(cached) = self.dedup.get(&req_id) {
                     self.stats.duplicate_requests += 1;
                     let res = match cached {
-                        CachedReply::Replay(r) => r.clone(),
+                        RecordedDecision::Replay(r) => r.clone(),
                         // The live path already granted this id before
                         // the client fell back to degraded mode (its
                         // reply was lost): the intent is settled; the
                         // replay must not count it a second time.
-                        CachedReply::Grant(Ok(_)) | CachedReply::GrantMulti(Ok(_)) => Ok(()),
-                        CachedReply::Grant(Err(_))
-                        | CachedReply::GrantMulti(Err(_))
-                        | CachedReply::Release(_) => {
-                            Err(GrmError::Sched(SchedError::InvalidRequest { amount }))
+                        RecordedDecision::Grant(Ok(_)) | RecordedDecision::GrantMulti(Ok(_)) => {
+                            Ok(())
                         }
+                        _ => Err(GrmError::Sched(SchedError::InvalidRequest { amount })),
                     };
                     let _ = reply.send(res);
                     return true;
                 }
-                let res = if self.multi.is_some() {
+                let res = if !self.single {
                     // Degraded-mode draws are single-pool units; a multi
                     // LRM has no single pool to have drawn them from.
                     Err(GrmError::Unsupported("replay_grant on a multi-resource GRM"))
@@ -1584,7 +1409,7 @@ impl ServerCore {
                         .record_with(|| TelemetryEvent::ReconcileReplay { requester: lrm, amount });
                     Ok(())
                 };
-                self.dedup.insert(req_id, CachedReply::Replay(res.clone()));
+                self.dedup.insert(req_id, RecordedDecision::Replay(res.clone()));
                 let _ = reply.send(res);
             }
             Msg::FulfilShortfall { lrm, want, taken } => {
@@ -1594,69 +1419,58 @@ impl ServerCore {
                 }
             }
             Msg::SetAgreement { from, to, share, reply } => {
-                let res = if self.hier.is_some() {
-                    Err(GrmError::Unsupported(
+                let res = match &mut self.engine {
+                    // A flat multi-resource server's lanes would all have
+                    // to republish atomically; out of scope until
+                    // someone needs it.
+                    _ if !self.single => {
+                        Err(GrmError::Unsupported("set_agreement on a multi-resource GRM"))
+                    }
+                    Engine::Hier { .. } => Err(GrmError::Unsupported(
                         "set_agreement on a hierarchical GRM; renegotiate with set_inter_group",
-                    ))
-                } else if self.multi.is_some() {
-                    // A flat multi core's lane states hold clones of the
-                    // flow snapshot; renegotiation would have to
-                    // republish into every lane atomically. Out of scope
-                    // until someone needs it.
-                    Err(GrmError::Unsupported("set_agreement on a multi-resource GRM"))
-                } else {
-                    self.incflow.set(from, to, share).map_err(GrmError::Flow).map(|rows| {
-                        self.stats.agreement_updates += 1;
-                        self.telemetry.add("grm.agreement_updates", 1);
-                        self.telemetry.record_with(|| TelemetryEvent::AgreementSet {
-                            from,
-                            to,
-                            share,
-                            dirty_rows: rows as u64,
-                        });
-                        self.refresh_flow();
-                    })
+                    )),
+                    Engine::Flat { incflow, lanes, .. } => {
+                        incflow.set(from, to, share).map_err(GrmError::Flow).map(|rows| {
+                            self.stats.agreement_updates += 1;
+                            self.telemetry.add("grm.agreement_updates", 1);
+                            self.telemetry.record_with(|| TelemetryEvent::AgreementSet {
+                                from,
+                                to,
+                                share,
+                                dirty_rows: rows as u64,
+                            });
+                            Engine::refresh_flow(incflow, lanes);
+                        })
+                    }
                 };
                 let _ = reply.send(res);
             }
             Msg::SetInterGroup { from_group, to_group, share, reply } => {
-                let res = if let Some(MultiEngine::Hier { front, .. }) = self.multi.as_mut() {
-                    // Renegotiation on a hierarchical multi engine
-                    // applies to every lane: the inter-group agreement
-                    // is between principals, not resources.
-                    match front.set_inter(from_group, to_group, share) {
-                        Ok(rows) => {
-                            self.stats.agreement_updates += 1;
-                            self.telemetry.add("grm.agreement_updates", 1);
-                            self.telemetry.record_with(|| TelemetryEvent::AgreementSet {
-                                from: from_group,
-                                to: to_group,
-                                share,
-                                dirty_rows: rows as u64,
-                            });
-                            Ok(())
+                let res = match &mut self.engine {
+                    // The inter-group agreement is between principals,
+                    // not resources: it applies to every lane.
+                    Engine::Hier { front, .. } => {
+                        match front.set_inter(from_group, to_group, share) {
+                            Ok(rows) => {
+                                self.stats.agreement_updates += 1;
+                                self.telemetry.add("grm.agreement_updates", 1);
+                                self.telemetry.record_with(|| TelemetryEvent::AgreementSet {
+                                    from: from_group,
+                                    to: to_group,
+                                    share,
+                                    dirty_rows: rows as u64,
+                                });
+                                Ok(())
+                            }
+                            Err(e) => Err(GrmError::Sched(e)),
                         }
-                        Err(e) => Err(GrmError::Sched(e)),
                     }
-                } else if self.multi.is_some() {
-                    Err(GrmError::Unsupported("set_inter_group on a flat multi-resource GRM"))
-                } else if let Some(sched) = self.hier.as_mut() {
-                    match sched.set_inter(from_group, to_group, share) {
-                        Ok(rows) => {
-                            self.stats.agreement_updates += 1;
-                            self.telemetry.add("grm.agreement_updates", 1);
-                            self.telemetry.record_with(|| TelemetryEvent::AgreementSet {
-                                from: from_group,
-                                to: to_group,
-                                share,
-                                dirty_rows: rows as u64,
-                            });
-                            Ok(())
-                        }
-                        Err(e) => Err(GrmError::Sched(e)),
+                    Engine::Flat { .. } if self.single => {
+                        Err(GrmError::Unsupported("set_inter_group on a flat GRM"))
                     }
-                } else {
-                    Err(GrmError::Unsupported("set_inter_group on a flat GRM"))
+                    Engine::Flat { .. } => {
+                        Err(GrmError::Unsupported("set_inter_group on a flat multi-resource GRM"))
+                    }
                 };
                 let _ = reply.send(res);
             }
@@ -1665,12 +1479,27 @@ impl ServerCore {
                 // previous incarnation so a duplicate RPC straddling
                 // the restart replays instead of re-executing. Not a
                 // served request — no stats counters move.
-                self.dedup.insert(id, decision.into());
+                self.dedup.insert(id, decision);
                 let _ = reply.send(());
             }
-            Msg::Availability { reply } => {
-                let _ = reply.send(self.state.availability.clone());
-            }
+            Msg::Availability { reply } => match reply {
+                ViewReply::Single(tx) => {
+                    let _ = tx.send(if self.single {
+                        Ok(self.engine.view(0).clone())
+                    } else {
+                        Err(GrmError::Unsupported(
+                            "availability on a multi-resource GRM; use availability_multi",
+                        ))
+                    });
+                }
+                ViewReply::Multi(tx) => {
+                    let _ = tx.send(if self.single {
+                        Err(GrmError::Unsupported("availability_multi on a single-resource GRM"))
+                    } else {
+                        Ok((0..self.engine.rk()).map(|r| self.engine.view(r).clone()).collect())
+                    });
+                }
+            },
             Msg::Stats { reply } => {
                 let _ = reply.send(self.published_stats());
             }
@@ -1680,30 +1509,31 @@ impl ServerCore {
     }
 
     /// Handle one wakeup's worth of drained messages, coalescing
-    /// *contiguous* runs of `Report`s (last valid writer per LRM wins —
-    /// which in-order overwrite yields by construction; superseded
-    /// writes are counted) and of equal-lease `Tick`s (one sweep at the
-    /// maximum clock: with `last_report` frozen across the run and the
-    /// clock monotone, the LRMs an intermediate tick would zero are a
-    /// subset of those the final one zeroes, and zeroing is idempotent
-    /// — so the merged sweep leaves the identical state). Runs never
-    /// extend across a message of another type, so nothing is reordered
-    /// relative to requests, releases, or mutations, and every grant is
-    /// bit-identical to one-at-a-time delivery. Returns `false` once
-    /// `Shutdown` is reached; anything queued behind it is dropped,
-    /// exactly as the old loop's `break` dropped it.
+    /// *contiguous* runs of single-resource `Report`s (last valid writer
+    /// per LRM wins — which in-order overwrite yields by construction;
+    /// superseded writes are counted) and of equal-lease `Tick`s (one
+    /// sweep at the maximum clock: with `last_report` frozen across the
+    /// run and the clock monotone, the LRMs an intermediate tick would
+    /// zero are a subset of those the final one zeroes, and zeroing is
+    /// idempotent — so the merged sweep leaves the identical state).
+    /// Multi-resource reports are rare relative to request traffic and
+    /// are handled one at a time. Runs never extend across a message of
+    /// another type, so nothing is reordered relative to requests,
+    /// releases, or mutations, and every grant is bit-identical to
+    /// one-at-a-time delivery. Returns `false` once `Shutdown` is
+    /// reached; anything queued behind it is dropped.
     fn handle_batch(&mut self, batch: &mut Vec<Msg>) -> bool {
         let mut it = batch.drain(..).peekable();
         while let Some(msg) = it.next() {
             match msg {
-                Msg::Report { lrm, available } => {
+                Msg::Report { lrm, available: available @ Reported::Single(_) } => {
                     self.run_gen += 1;
-                    self.apply_report(lrm, available);
-                    while let Some(Msg::Report { .. }) = it.peek() {
+                    self.apply_report(lrm, &available);
+                    while let Some(Msg::Report { available: Reported::Single(_), .. }) = it.peek() {
                         let Some(Msg::Report { lrm, available }) = it.next() else {
                             unreachable!("peeked a Report");
                         };
-                        self.apply_report(lrm, available);
+                        self.apply_report(lrm, &available);
                     }
                 }
                 Msg::Tick { now, lease } => {
@@ -1730,12 +1560,7 @@ impl ServerCore {
     }
 }
 
-fn serve(agreements: AgreementMatrix, level: usize, rx: Receiver<Msg>, telemetry: Telemetry) {
-    let core = ServerCore::with_telemetry(agreements, level, telemetry.clone());
-    serve_core(core, rx, telemetry);
-}
-
-fn serve_core(mut core: ServerCore, rx: Receiver<Msg>, telemetry: Telemetry) {
+fn serve(mut core: ServerCore, rx: Receiver<Msg>, telemetry: Telemetry) {
     // Coalescing drain loop: block for the first message of a wakeup,
     // then drain everything already queued and hand the batch to the
     // core, so a burst of reports costs one pass instead of one wakeup
@@ -1759,6 +1584,16 @@ fn serve_core(mut core: ServerCore, rx: Receiver<Msg>, telemetry: Telemetry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A flat single-resource core, as `GrmServer::spawn` builds it.
+    fn flat_core(agreements: AgreementMatrix, level: usize) -> ServerCore {
+        let telemetry = Telemetry::default();
+        ServerCore::new(
+            Engine::flat(vec![UNTAGGED], agreements, level, &telemetry),
+            true,
+            &telemetry,
+        )
+    }
 
     fn complete(n: usize, share: f64) -> AgreementMatrix {
         let mut s = AgreementMatrix::zeros(n);
@@ -1992,15 +1827,15 @@ mod tests {
         // id was evicted first while an older untouched id survived.
         let mut w = DedupWindow::default();
         let id = |seq| RequestId { client: 0, seq };
-        w.insert(id(0), CachedReply::Replay(Ok(())));
+        w.insert(id(0), RecordedDecision::Replay(Ok(())));
         for seq in 1..DEDUP_WINDOW as u64 {
-            w.insert(id(seq), CachedReply::Replay(Ok(())));
+            w.insert(id(seq), RecordedDecision::Replay(Ok(())));
         }
         // Window is exactly full; re-insert the oldest id.
-        w.insert(id(0), CachedReply::Replay(Ok(())));
+        w.insert(id(0), RecordedDecision::Replay(Ok(())));
         assert_eq!(w.order.len(), DEDUP_WINDOW, "re-insert must not grow the window");
         // One more new id evicts the now-oldest entry: seq 1, not seq 0.
-        w.insert(id(DEDUP_WINDOW as u64), CachedReply::Replay(Ok(())));
+        w.insert(id(DEDUP_WINDOW as u64), RecordedDecision::Replay(Ok(())));
         assert!(w.get(&id(0)).is_some(), "refreshed id survives the eviction");
         assert!(w.get(&id(1)).is_none(), "stalest untouched id is evicted instead");
         assert_eq!(w.decisions.len(), w.order.len(), "map and order stay in lock-step");
@@ -2291,10 +2126,10 @@ mod tests {
             let mut replies = Vec::new();
             // A report burst with two writers to LRM 1: in a batch the
             // second supersedes the first.
-            msgs.push(Msg::Report { lrm: 0, available: 4.0 });
-            msgs.push(Msg::Report { lrm: 1, available: 3.0 });
-            msgs.push(Msg::Report { lrm: 1, available: 9.0 });
-            msgs.push(Msg::Report { lrm: 2, available: 2.0 });
+            msgs.push(Msg::Report { lrm: 0, available: Reported::Single(4.0) });
+            msgs.push(Msg::Report { lrm: 1, available: Reported::Single(3.0) });
+            msgs.push(Msg::Report { lrm: 1, available: Reported::Single(9.0) });
+            msgs.push(Msg::Report { lrm: 2, available: Reported::Single(2.0) });
             // Equal-lease ticks arriving out of clock order.
             msgs.push(Msg::Tick { now: 5, lease: 10 });
             msgs.push(Msg::Tick { now: 3, lease: 10 });
@@ -2302,23 +2137,23 @@ mod tests {
             let (tx, rx) = unbounded();
             msgs.push(Msg::Request {
                 lrm: 0,
-                amount: 6.0,
+                amounts: vec![6.0],
                 req_id: None,
                 enqueued: None,
-                reply: tx,
+                reply: GrantReply::Single(tx),
             });
             replies.push(rx);
             // A fresh report, a lease-expiring tick, then an over-ask
             // that must reject identically on both paths.
-            msgs.push(Msg::Report { lrm: 0, available: 1.0 });
+            msgs.push(Msg::Report { lrm: 0, available: Reported::Single(1.0) });
             msgs.push(Msg::Tick { now: 20, lease: 10 });
             let (tx, rx) = unbounded();
             msgs.push(Msg::Request {
                 lrm: 2,
-                amount: 100.0,
+                amounts: vec![100.0],
                 req_id: None,
                 enqueued: None,
-                reply: tx,
+                reply: GrantReply::Single(tx),
             });
             replies.push(rx);
             (msgs, replies)
@@ -2327,11 +2162,11 @@ mod tests {
         let (msgs_one, replies_one) = build_trace();
         let (msgs_batch, replies_batch) = build_trace();
 
-        let mut one = ServerCore::new(complete(3, 0.5), 2);
+        let mut one = flat_core(complete(3, 0.5), 2);
         for m in msgs_one {
             assert!(one.handle(m));
         }
-        let mut batched = ServerCore::new(complete(3, 0.5), 2);
+        let mut batched = flat_core(complete(3, 0.5), 2);
         let mut batch = msgs_batch;
         assert!(batched.handle_batch(&mut batch));
         assert!(batch.is_empty(), "batch fully drained");
@@ -2340,7 +2175,7 @@ mod tests {
             assert_eq!(ra.try_recv().unwrap(), rb.try_recv().unwrap());
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&one.state.availability), bits(&batched.state.availability));
+        assert_eq!(bits(one.engine.view(0)), bits(batched.engine.view(0)));
         assert_eq!(one.clock, batched.clock);
         assert_eq!(one.last_report, batched.last_report);
         let (mut s1, mut s2) = (one.published_stats(), batched.published_stats());
@@ -2353,28 +2188,28 @@ mod tests {
 
     #[test]
     fn batch_stops_at_shutdown_and_drops_the_rest() {
-        let mut core = ServerCore::new(complete(2, 0.5), 1);
+        let mut core = flat_core(complete(2, 0.5), 1);
         let mut batch = vec![
-            Msg::Report { lrm: 0, available: 5.0 },
+            Msg::Report { lrm: 0, available: Reported::Single(5.0) },
             Msg::Shutdown,
-            Msg::Report { lrm: 1, available: 7.0 },
+            Msg::Report { lrm: 1, available: Reported::Single(7.0) },
         ];
         assert!(!core.handle_batch(&mut batch));
         assert_eq!(core.stats.reports, 1, "messages behind Shutdown are dropped");
-        assert_eq!(core.state.availability[1].to_bits(), 0.0f64.to_bits());
+        assert_eq!(core.engine.view(0)[1].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn capacity_fast_reject_matches_solver_verdict_and_counts() {
-        let mut core = ServerCore::new(complete(3, 0.5), 2);
+        let mut core = flat_core(complete(3, 0.5), 2);
         for (lrm, avail) in [(0, 0.0), (1, 10.0), (2, 10.0)] {
             core.run_gen += 1;
-            core.apply_report(lrm, avail);
+            core.apply_report(lrm, &Reported::Single(avail));
         }
         // Reachable for 0: clamped two-level flow 0.5 + 0.25 = 0.75 per
         // peer ⇒ 7.5 + 7.5 = 15. Asking 16 rejects without an LP build,
         // with the exact error payload the solver would produce.
-        let err = core.decide(0, 16.0).unwrap_err();
+        let err = core.decide(0, &[16.0]).unwrap_err();
         match err {
             GrmError::Sched(SchedError::InsufficientCapacity {
                 requester,
@@ -2391,8 +2226,8 @@ mod tests {
         assert_eq!(core.stats.fast_rejects, 1);
         assert_eq!(core.stats.rejected_capacity, 1);
         // A feasible request is untouched by the fast path and grants.
-        let alloc = core.decide(0, 6.0).unwrap();
-        assert!((alloc.amount - 6.0).abs() < 1e-9);
+        let alloc = core.decide(0, &[6.0]).unwrap();
+        assert!((alloc.lanes[0].amount - 6.0).abs() < 1e-9);
         assert_eq!(core.stats.fast_rejects, 1, "grant path never fast-rejects");
         assert_eq!(core.stats.granted, 1);
     }
@@ -2638,6 +2473,21 @@ mod tests {
         assert!(matches!(h.request_multi(0, &[1.0, 1.0]), Err(GrmError::Unsupported(_))));
         assert!(matches!(h.availability_multi(), Err(GrmError::Unsupported(_))));
         flat.shutdown();
+    }
+
+    /// A single-lane report cannot say which lane it describes, and a
+    /// single-lane view would show one lane of many: on a multi-resource
+    /// GRM the report is dropped uncounted and the view is refused.
+    #[test]
+    fn single_lane_report_and_view_on_a_multi_resource_grm() {
+        let grm = spawn_two_lane(0.5);
+        let h = grm.handle();
+        h.report_multi(0, vec![4.0, 3.0]).unwrap();
+        h.report(1, 9.0).unwrap();
+        assert!(matches!(h.availability(), Err(GrmError::Unsupported(_))));
+        assert_eq!(h.availability_multi().unwrap(), vec![vec![4.0, 0.0], vec![3.0, 0.0]]);
+        assert_eq!(h.stats().unwrap().reports, 1, "the single-lane report is not counted");
+        grm.shutdown();
     }
 
     #[test]
