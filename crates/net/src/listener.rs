@@ -783,28 +783,44 @@ fn journalable(err: &GrmError) -> bool {
     )
 }
 
-/// Execute one request and journal its record, atomically under the
-/// journal lock — the journal records the exact execution interleaving,
-/// so the recovery fold replays what actually happened even when
-/// non-sequenced connections race. Returns the response and its
-/// durability gate (0 for reads and for ops that journaled nothing).
+/// Run one call against the served GRM and journal its record,
+/// atomically under the journal lock — the journal records the exact
+/// execution interleaving, so the recovery fold replays what actually
+/// happened even when non-sequenced connections race. Transport-level
+/// failures are not decisions and journal nothing (gate 0); a failed
+/// append answers [`JOURNAL_DOWN`] instead of the unjournaled result.
+fn journaled<T>(
+    shared: &Shared,
+    call: impl FnOnce(&GrmHandle) -> Result<T, GrmError>,
+    record: impl FnOnce(&Result<T, GrmError>) -> JournalRecord,
+) -> (Result<T, GrmError>, u64) {
+    let mut guard = shared.journal.lock();
+    let result = call(&shared.handle);
+    let gate = if result.as_ref().err().is_none_or(journalable) {
+        match shared.journal_locked(&mut guard, &record(&result)) {
+            Ok(g) => g,
+            Err(_) => return (Err(JOURNAL_DOWN), 0),
+        }
+    } else {
+        0
+    };
+    shared.publish_durability(&guard);
+    drop(guard);
+    (result, gate)
+}
+
+/// Execute one request, journaling it through [`journaled`]. Returns
+/// the response and its durability gate (0 for reads and for ops that
+/// journaled nothing).
 fn execute(req: &WireRequest, seq: Option<u64>, shared: &Shared) -> (WireResponse, u64) {
     let h = &shared.handle;
     match req {
         WireRequest::Report { lrm, available } => {
-            let mut guard = shared.journal.lock();
-            let res = h.report(*lrm as usize, *available);
-            let gate = if res.is_ok() {
-                let rec = JournalRecord::Report { seq, lrm: *lrm, available: *available };
-                match shared.journal_locked(&mut guard, &rec) {
-                    Ok(g) => g,
-                    Err(_) => return (WireResponse::Unit(Err(JOURNAL_DOWN)), 0),
-                }
-            } else {
-                0
-            };
-            shared.publish_durability(&guard);
-            drop(guard);
+            let (res, gate) = journaled(
+                shared,
+                |h| h.report(*lrm as usize, *available),
+                |_| JournalRecord::Report { seq, lrm: *lrm, available: *available },
+            );
             (WireResponse::Unit(res), gate)
         }
         WireRequest::Tick { now, lease } => {
@@ -813,75 +829,46 @@ fn execute(req: &WireRequest, seq: Option<u64>, shared: &Shared) -> (WireRespons
             (WireResponse::Unit(h.tick(*now, *lease)), 0)
         }
         WireRequest::Request { lrm, amount, req_id } => {
-            let mut guard = shared.journal.lock();
-            let result = match req_id {
-                Some(id) => h.request_idempotent(*lrm as usize, *amount, *id),
-                None => h.request(*lrm as usize, *amount),
-            };
-            let gate = if result.as_ref().err().is_none_or(journalable) {
-                let rec = JournalRecord::Decision {
+            let (res, gate) = journaled(
+                shared,
+                |h| match req_id {
+                    Some(id) => h.request_idempotent(*lrm as usize, *amount, *id),
+                    None => h.request(*lrm as usize, *amount),
+                },
+                |res| JournalRecord::Decision {
                     seq,
                     id: *req_id,
-                    body: DecisionBody::Grant(result.clone()),
-                };
-                match shared.journal_locked(&mut guard, &rec) {
-                    Ok(g) => g,
-                    Err(_) => return (WireResponse::Grant(Err(JOURNAL_DOWN)), 0),
-                }
-            } else {
-                0
-            };
-            shared.publish_durability(&guard);
-            drop(guard);
-            (WireResponse::Grant(result), gate)
+                    body: DecisionBody::Grant(res.clone()),
+                },
+            );
+            (WireResponse::Grant(res), gate)
         }
         WireRequest::Release { alloc, req_id } => {
-            let draws = alloc.draws.clone();
-            let mut guard = shared.journal.lock();
-            let result = match req_id {
-                Some(id) => h.release_idempotent(alloc.clone(), *id),
-                None => h.release(alloc.clone()),
-            };
-            let gate = if result.as_ref().err().is_none_or(journalable) {
-                let rec = JournalRecord::Decision {
+            let (res, gate) = journaled(
+                shared,
+                |h| match req_id {
+                    Some(id) => h.release_idempotent(alloc.clone(), *id),
+                    None => h.release(alloc.clone()),
+                },
+                |res| JournalRecord::Decision {
                     seq,
                     id: *req_id,
-                    body: DecisionBody::Release { draws, result: result.clone() },
-                };
-                match shared.journal_locked(&mut guard, &rec) {
-                    Ok(g) => g,
-                    Err(_) => return (WireResponse::Unit(Err(JOURNAL_DOWN)), 0),
-                }
-            } else {
-                0
-            };
-            shared.publish_durability(&guard);
-            drop(guard);
-            (WireResponse::Unit(result), gate)
+                    body: DecisionBody::Release { draws: alloc.draws.clone(), result: res.clone() },
+                },
+            );
+            (WireResponse::Unit(res), gate)
         }
         WireRequest::ReplayGrant { req_id, lrm, amount } => {
-            let mut guard = shared.journal.lock();
-            let result = h.replay_grant(*req_id, *lrm as usize, *amount);
-            let gate = if result.as_ref().err().is_none_or(journalable) {
-                let rec = JournalRecord::Decision {
+            let (res, gate) = journaled(
+                shared,
+                |h| h.replay_grant(*req_id, *lrm as usize, *amount),
+                |res| JournalRecord::Decision {
                     seq,
                     id: Some(*req_id),
-                    body: DecisionBody::Replay {
-                        lrm: *lrm,
-                        amount: *amount,
-                        result: result.clone(),
-                    },
-                };
-                match shared.journal_locked(&mut guard, &rec) {
-                    Ok(g) => g,
-                    Err(_) => return (WireResponse::Unit(Err(JOURNAL_DOWN)), 0),
-                }
-            } else {
-                0
-            };
-            shared.publish_durability(&guard);
-            drop(guard);
-            (WireResponse::Unit(result), gate)
+                    body: DecisionBody::Replay { lrm: *lrm, amount: *amount, result: res.clone() },
+                },
+            );
+            (WireResponse::Unit(res), gate)
         }
         WireRequest::Availability => match h.availability() {
             Ok(v) => (WireResponse::Availability(v), 0),
@@ -892,27 +879,19 @@ fn execute(req: &WireRequest, seq: Option<u64>, shared: &Shared) -> (WireRespons
             Err(e) => (WireResponse::Unit(Err(e)), 0),
         },
         WireRequest::RequestMulti { lrm, amounts, req_id } => {
-            let mut guard = shared.journal.lock();
-            let result = match req_id {
-                Some(id) => h.request_multi_idempotent(*lrm as usize, amounts, *id),
-                None => h.request_multi(*lrm as usize, amounts),
-            };
-            let gate = if result.as_ref().err().is_none_or(journalable) {
-                let rec = JournalRecord::Decision {
+            let (res, gate) = journaled(
+                shared,
+                |h| match req_id {
+                    Some(id) => h.request_multi_idempotent(*lrm as usize, amounts, *id),
+                    None => h.request_multi(*lrm as usize, amounts),
+                },
+                |res| JournalRecord::Decision {
                     seq,
                     id: *req_id,
-                    body: DecisionBody::GrantMulti(result.clone()),
-                };
-                match shared.journal_locked(&mut guard, &rec) {
-                    Ok(g) => g,
-                    Err(_) => return (WireResponse::GrantMulti(Err(JOURNAL_DOWN)), 0),
-                }
-            } else {
-                0
-            };
-            shared.publish_durability(&guard);
-            drop(guard);
-            (WireResponse::GrantMulti(result), gate)
+                    body: DecisionBody::GrantMulti(res.clone()),
+                },
+            );
+            (WireResponse::GrantMulti(res), gate)
         }
         // Multi-lane pools are soft state (re-reported each round) and
         // the recovery mirror's availability is single-lane, so multi
