@@ -593,7 +593,8 @@ impl NetGrmClient {
         rx.recv().map_err(|_| GrmError::ConnectionReset)?
     }
 
-    /// Blocking snapshot of the daemon's availability view.
+    /// Blocking snapshot of the daemon's availability view. A daemon
+    /// serving a multi-resource GRM answers [`GrmError::Unsupported`].
     pub fn availability(&self) -> Result<Vec<f64>, GrmError> {
         let (tx, rx) = bounded(1);
         self.send(WireRequest::Availability, None, Pending::Availability(tx))?;
